@@ -5,8 +5,9 @@
 // support — expected shape: candidates peak at pass 2, the downward-
 // closure prune collapses later passes, and the census is identical for
 // Apriori and FP-Growth (same frequent collection). The timed section
-// contrasts the two counting strategies; the hash tree should win, and
-// the gap should widen on the long-transaction workload.
+// contrasts the two counting strategies of passes k >= 3 (both count
+// pass 2 in the same pair table); the hash tree should win, and the gap
+// should widen on the long-transaction workload.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

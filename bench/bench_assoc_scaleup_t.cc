@@ -2,9 +2,9 @@
 // size T grows from 5 to 25 while D shrinks so that |D| * T (total item
 // occurrences) stays constant; fixed absolute support threshold.
 //
-// Expected shape: time rises super-linearly in T for Apriori (longer
-// transactions hit many more hash-tree branches) and mildly for the
-// pattern-growth/vertical miners.
+// Expected shape: time rises with T for Apriori — about linearly, since
+// its pass-2 pair table does O(T^2) work per transaction over |D| ~ 1/T
+// transactions — and mildly for the pattern-growth/vertical miners.
 #include <benchmark/benchmark.h>
 
 #include "assoc/apriori.h"

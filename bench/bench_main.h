@@ -139,8 +139,8 @@ inline void WriteJsonRecord(const std::string& path,
 /// writes the JSON record if requested. Flags:
 ///   --json <path>  write a machine-readable record of every run (name,
 ///                  wall time, user counters such as threads and
-///                  dist_comps) to <path>; tools/check.sh collects these
-///                  as BENCH_<bench>.json for the perf trajectory.
+///                  dist_comps) to <path>; tools/check.sh diffs these
+///                  against bench/baselines/ with tools/bench_compare.
 ///   --no-table     skip the prologue table (used by bench smoke runs).
 inline int BenchMain(const char* bench_name, int argc, char** argv,
                      const std::function<void()>& prologue = nullptr) {

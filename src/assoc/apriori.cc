@@ -84,6 +84,101 @@ void CountBySubsetLookup(
   }
 }
 
+/// Pass 2 without materialising C2. Every pair of frequent singles is a
+/// candidate, so supports go into a flat triangular table indexed by the
+/// items' ranks in L1: pair (a < b) sits at a·(2n−a−1)/2 + (b−a−1), which
+/// is also its position in GenerateCandidates' lexicographic output.
+/// Returns the frequent pairs in that order; *num_candidates = |C2|.
+std::vector<FrequentItemset> CountFrequentPairs(
+    const TransactionDatabase& db, const std::vector<FrequentItemset>& singles,
+    uint32_t min_count, const core::ParallelContext& ctx,
+    size_t* num_candidates) {
+  const size_t n = singles.size();
+  *num_candidates = n * (n - 1) / 2;
+  if (*num_candidates == 0) return {};
+  constexpr uint32_t kInfrequent = UINT32_MAX;
+  std::vector<uint32_t> rank(db.item_universe(), kInfrequent);
+  for (uint32_t r = 0; r < n; ++r) rank[singles[r].items[0]] = r;
+
+  std::vector<uint32_t> counts(*num_candidates, 0);
+  {
+    obs::Span count_span("assoc/apriori/pass/count");
+    core::CountPartitioned(
+        ctx, db.size(), counts,
+        [&](size_t begin, size_t end, std::span<uint32_t> local) {
+          std::vector<uint32_t> ranks;
+          for (size_t t = begin; t < end; ++t) {
+            // Transactions are sorted by item id, so ranks come out sorted.
+            ranks.clear();
+            for (core::ItemId item : db.transaction(t)) {
+              if (rank[item] != kInfrequent) ranks.push_back(rank[item]);
+            }
+            for (size_t i = 0; i + 1 < ranks.size(); ++i) {
+              const size_t a = ranks[i];
+              // Row start minus (a + 1); unsigned wrap-around cancels once
+              // b > a is added back.
+              const size_t row = a * (2 * n - a - 1) / 2 - (a + 1);
+              for (size_t j = i + 1; j < ranks.size(); ++j) {
+                ++local[row + ranks[j]];
+              }
+            }
+          }
+        });
+  }
+
+  std::vector<FrequentItemset> frequent;
+  size_t index = 0;
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b, ++index) {
+      if (counts[index] >= min_count) {
+        frequent.push_back(
+            {{singles[a].items[0], singles[b].items[0]}, counts[index]});
+      }
+    }
+  }
+  return frequent;
+}
+
+/// Passes k >= 3: generates C_k from L_{k-1}, counts it with the configured
+/// method, and returns the frequent candidates in generation order.
+std::vector<FrequentItemset> CountFrequentCandidates(
+    const TransactionDatabase& db, const std::vector<FrequentItemset>& layer,
+    size_t k, uint32_t min_count, const AprioriOptions& options,
+    const core::ParallelContext& ctx, size_t* num_candidates) {
+  CandidateGenResult gen = GenerateCandidates(ItemsetsOf(layer));
+  *num_candidates = gen.candidates.size();
+  if (gen.candidates.empty()) return {};
+  std::vector<uint32_t> counts(gen.candidates.size(), 0);
+  {
+    obs::Span count_span("assoc/apriori/pass/count");
+    if (options.counting == AprioriOptions::CountingMethod::kHashTree) {
+      HashTree tree(gen.candidates, k, options.hash_tree_fanout,
+                    options.hash_tree_leaf_size);
+      tree.CountDatabase(db, counts, ctx);
+    } else {
+      std::unordered_map<Itemset, uint32_t, ItemsetHash> index;
+      index.reserve(gen.candidates.size());
+      for (uint32_t c = 0; c < gen.candidates.size(); ++c) {
+        index.emplace(gen.candidates[c], c);
+      }
+      core::CountPartitioned(
+          ctx, db.size(), counts,
+          [&](size_t begin, size_t end, std::span<uint32_t> local) {
+            for (size_t t = begin; t < end; ++t) {
+              CountBySubsetLookup(db.transaction(t), k, index, local);
+            }
+          });
+    }
+  }
+  std::vector<FrequentItemset> frequent;
+  for (uint32_t c = 0; c < gen.candidates.size(); ++c) {
+    if (counts[c] >= min_count) {
+      frequent.push_back({std::move(gen.candidates[c]), counts[c]});
+    }
+  }
+  return frequent;
+}
+
 }  // namespace
 
 Result<MiningResult> MineApriori(const TransactionDatabase& db,
@@ -116,41 +211,18 @@ Result<MiningResult> MineApriori(const TransactionDatabase& db,
     if (params.max_itemset_size != 0 && k > params.max_itemset_size) break;
     obs::Span pass_span("assoc/apriori/pass");
     pass_span.AddArg("k", k);
-    CandidateGenResult gen = GenerateCandidates(ItemsetsOf(layer));
-    if (gen.candidates.empty()) {
+    size_t num_candidates = 0;
+    std::vector<FrequentItemset> next_layer =
+        k == 2 ? CountFrequentPairs(db, layer, min_count, ctx, &num_candidates)
+               : CountFrequentCandidates(db, layer, k, min_count, options, ctx,
+                                         &num_candidates);
+    if (num_candidates == 0) {
       result.passes.push_back({k, 0, 0});
       passes_counter.Increment();
       break;
     }
-    std::vector<uint32_t> counts(gen.candidates.size(), 0);
-    if (options.counting == AprioriOptions::CountingMethod::kHashTree) {
-      obs::Span count_span("assoc/apriori/pass/count");
-      HashTree tree(gen.candidates, k, options.hash_tree_fanout,
-                    options.hash_tree_leaf_size);
-      tree.CountDatabase(db, counts, ctx);
-    } else {
-      obs::Span count_span("assoc/apriori/pass/count");
-      std::unordered_map<Itemset, uint32_t, ItemsetHash> index;
-      index.reserve(gen.candidates.size());
-      for (uint32_t c = 0; c < gen.candidates.size(); ++c) {
-        index.emplace(gen.candidates[c], c);
-      }
-      core::CountPartitioned(
-          ctx, db.size(), counts,
-          [&](size_t begin, size_t end, std::span<uint32_t> local) {
-            for (size_t t = begin; t < end; ++t) {
-              CountBySubsetLookup(db.transaction(t), k, index, local);
-            }
-          });
-    }
-    std::vector<FrequentItemset> next_layer;
-    for (uint32_t c = 0; c < gen.candidates.size(); ++c) {
-      if (counts[c] >= min_count) {
-        next_layer.push_back({std::move(gen.candidates[c]), counts[c]});
-      }
-    }
-    result.passes.push_back({k, gen.candidates.size(), next_layer.size()});
-    candidates_counter.Add(gen.candidates.size());
+    result.passes.push_back({k, num_candidates, next_layer.size()});
+    candidates_counter.Add(num_candidates);
     frequent_counter.Add(next_layer.size());
     passes_counter.Increment();
     result.itemsets.insert(result.itemsets.end(), next_layer.begin(),

@@ -11,7 +11,8 @@ namespace dmt::assoc {
 
 /// Tuning knobs for Apriori.
 struct AprioriOptions {
-  /// How candidate supports are counted each pass.
+  /// How candidate supports are counted in passes k >= 3. Pass 2 always
+  /// counts every pair of frequent singles in a flat triangular table.
   enum class CountingMethod {
     /// Hash tree over candidates; each transaction walks only reachable
     /// branches (the paper's method).
@@ -23,8 +24,9 @@ struct AprioriOptions {
   };
   CountingMethod counting = CountingMethod::kHashTree;
   /// Hash width of interior nodes. Wide tables keep the depth-k leaves
-  /// small when many candidates share hash paths (pass 2 has |L1|^2/2
-  /// candidates but only k = 2 routing items).
+  /// small when many candidates share hash paths: a tree routes on only k
+  /// items, and the SON global recount builds trees with these settings
+  /// over candidate unions that include pairs.
   size_t hash_tree_fanout = 128;
   size_t hash_tree_leaf_size = 16;
 

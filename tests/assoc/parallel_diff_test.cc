@@ -1,14 +1,19 @@
 // Differential tests for the parallel association kernels: mining with
-// num_threads in {2, 4} must produce results bit-identical to the serial
-// run on seeded Quest workloads — same frequent itemsets, same supports,
-// same per-pass census, same work counters. Covers the counting miners
-// (Apriori/AprioriTid), the pattern-growth miners (FP-Growth/Eclat), and
+// worker threads must produce results bit-identical to the serial run on
+// seeded Quest workloads — same frequent itemsets, same supports, same
+// per-pass census, same work counters. Covers the counting miners
+// (Apriori/AprioriTid, including Apriori's pass-2 pair table against a
+// hash tree over C2), the pattern-growth miners (FP-Growth/Eclat), and
 // the sampling verification scan.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "assoc/apriori.h"
+#include "assoc/candidate_gen.h"
 #include "assoc/eclat.h"
 #include "assoc/fp_growth.h"
+#include "assoc/hash_tree.h"
 #include "assoc/sampling.h"
 #include "core/check.h"
 #include "gen/quest.h"
@@ -47,6 +52,136 @@ void ExpectSameResult(const MiningResult& serial,
       << "tidset_intersections diverged at num_threads=" << threads;
 }
 
+/// Seeded uniform baskets over `num_items` items, sizes 0..max_size (so
+/// some transactions are empty).
+core::TransactionDatabase RandomBaskets(uint64_t seed, size_t num_items,
+                                        size_t max_size) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<size_t> size_dist(0, max_size);
+  std::uniform_int_distribution<core::ItemId> item_dist(
+      0, static_cast<core::ItemId>(num_items - 1));
+  core::TransactionDatabase db;
+  for (size_t t = 0; t < 1500; ++t) {
+    std::vector<core::ItemId> basket(size_dist(rng));
+    for (auto& item : basket) item = item_dist(rng);
+    db.Add(basket);
+  }
+  return db;
+}
+
+std::vector<FrequentItemset> OfSize(const std::vector<FrequentItemset>& all,
+                                    size_t k) {
+  std::vector<FrequentItemset> out;
+  for (const auto& f : all) {
+    if (f.items.size() == k) out.push_back(f);
+  }
+  return out;
+}
+
+/// Apriori's pass 2 (a triangular pair table) must report exactly the
+/// pairs, supports and C2 census that a hash tree over
+/// GenerateCandidates(L1) yields, at every thread count and under both
+/// counting methods.
+void ExpectPairsMatchHashTree(const core::TransactionDatabase& db,
+                              double min_support) {
+  const uint32_t min_count = AbsoluteMinSupport(db, min_support);
+  std::vector<FrequentItemset> singles;
+  const std::vector<uint32_t> supports = db.ItemSupports();
+  for (core::ItemId item = 0; item < supports.size(); ++item) {
+    if (supports[item] >= min_count) {
+      singles.push_back({{item}, supports[item]});
+    }
+  }
+  std::vector<Itemset> l1;
+  for (const auto& f : singles) l1.push_back(f.items);
+  std::vector<Itemset> c2;
+  if (!l1.empty()) c2 = GenerateCandidates(l1).candidates;
+  std::vector<uint32_t> counts(c2.size(), 0);
+  if (!c2.empty()) HashTree(c2, 2).CountDatabase(db, counts);
+  std::vector<FrequentItemset> expected_pairs;
+  for (size_t c = 0; c < c2.size(); ++c) {
+    if (counts[c] >= min_count) expected_pairs.push_back({c2[c], counts[c]});
+  }
+
+  using Method = AprioriOptions::CountingMethod;
+  for (Method method : {Method::kHashTree, Method::kSubsetLookup}) {
+    for (size_t threads : {0u, 1u, 2u, 7u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " subset_lookup="
+                   << (method == Method::kSubsetLookup));
+      MiningParams params;
+      params.min_support = min_support;
+      params.max_itemset_size = 2;
+      params.num_threads = threads;
+      AprioriOptions options;
+      options.counting = method;
+      auto result = MineApriori(db, params, options);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(OfSize(result->itemsets, 1), singles);
+      EXPECT_EQ(OfSize(result->itemsets, 2), expected_pairs);
+      if (singles.empty()) {
+        EXPECT_EQ(result->passes.size(), 1u);
+        continue;
+      }
+      ASSERT_EQ(result->passes.size(), 2u);
+      EXPECT_EQ(result->passes[1].pass, 2u);
+      EXPECT_EQ(result->passes[1].candidates, c2.size());
+      EXPECT_EQ(result->passes[1].frequent, expected_pairs.size());
+    }
+  }
+}
+
+TEST(AprioriPairTableDiffTest, QuestSupportsMatchHashTree) {
+  for (uint64_t seed : {61u, 62u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    auto db = Workload(seed);
+    const double min_support = 1.0 / static_cast<double>(db.size());
+    ASSERT_EQ(AbsoluteMinSupport(db, min_support), 1u);
+    ExpectPairsMatchHashTree(db, min_support);
+  }
+}
+
+TEST(AprioriPairTableDiffTest, RandomSupportsMatchHashTree) {
+  for (uint64_t seed : {63u, 64u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    auto db = RandomBaskets(seed, /*num_items=*/60, /*max_size=*/12);
+    const double min_support = 1.0 / static_cast<double>(db.size());
+    ASSERT_EQ(AbsoluteMinSupport(db, min_support), 1u);
+    ExpectPairsMatchHashTree(db, min_support);
+  }
+}
+
+TEST(AprioriPairTableDiffTest, EdgeCasesMatchHashTree) {
+  auto make = [](std::vector<std::vector<core::ItemId>> baskets) {
+    core::TransactionDatabase db;
+    for (const auto& basket : baskets) db.Add(basket);
+    return db;
+  };
+  {
+    SCOPED_TRACE("|L1| = 0: only empty transactions");
+    ExpectPairsMatchHashTree(make({{}, {}, {}}), 0.5);
+  }
+  {
+    SCOPED_TRACE("|L1| = 0: only infrequent items");
+    ExpectPairsMatchHashTree(make({{0}, {1, 2}, {3}, {}}), 0.5);
+  }
+  {
+    SCOPED_TRACE("|L1| = 1");
+    ExpectPairsMatchHashTree(make({{4}, {4, 9}, {}, {4}}), 0.5);
+  }
+  {
+    SCOPED_TRACE("|L1| = 2");
+    ExpectPairsMatchHashTree(make({{2, 5}, {2, 5, 8}, {}, {5}, {2}}), 0.4);
+  }
+  {
+    SCOPED_TRACE("empty and infrequent-only transactions between frequent");
+    ExpectPairsMatchHashTree(
+        make({{0, 1, 2}, {0, 1}, {}, {7, 8}, {9}, {1, 2}, {0, 2, 7}, {},
+              {0, 1, 2, 8}}),
+        3.0 / 9.0);
+  }
+}
+
 TEST(AprioriParallelDiffTest, HashTreeCountingMatchesSerial) {
   auto db = Workload(/*seed=*/41);
   MiningParams params;
@@ -54,7 +189,7 @@ TEST(AprioriParallelDiffTest, HashTreeCountingMatchesSerial) {
   auto serial = MineApriori(db, params);
   ASSERT_TRUE(serial.ok());
   EXPECT_FALSE(serial->itemsets.empty());
-  for (size_t threads : {2u, 4u}) {
+  for (size_t threads : {1u, 2u, 4u, 7u}) {
     params.num_threads = threads;
     auto parallel = MineApriori(db, params);
     ASSERT_TRUE(parallel.ok());
@@ -71,7 +206,7 @@ TEST(AprioriParallelDiffTest, SubsetLookupCountingMatchesSerial) {
   auto serial = MineApriori(db, params, options);
   ASSERT_TRUE(serial.ok());
   EXPECT_FALSE(serial->itemsets.empty());
-  for (size_t threads : {2u, 4u}) {
+  for (size_t threads : {1u, 2u, 4u, 7u}) {
     params.num_threads = threads;
     auto parallel = MineApriori(db, params, options);
     ASSERT_TRUE(parallel.ok());
@@ -86,7 +221,7 @@ TEST(AprioriParallelDiffTest, AprioriTidMatchesSerial) {
   auto serial = MineAprioriTid(db, params);
   ASSERT_TRUE(serial.ok());
   EXPECT_FALSE(serial->itemsets.empty());
-  for (size_t threads : {2u, 4u}) {
+  for (size_t threads : {1u, 2u, 4u, 7u}) {
     params.num_threads = threads;
     auto parallel = MineAprioriTid(db, params);
     ASSERT_TRUE(parallel.ok());

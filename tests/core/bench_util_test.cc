@@ -1,8 +1,8 @@
 // Coverage for the bench harness determinism helpers (bench/bench_util.h):
 // the cached workloads must hand back the same object on repeated calls,
 // and their fixed seeds must regenerate bit-identical data — otherwise the
-// parallel-speedup numbers recorded in BENCH_*.json are not comparable
-// run-to-run.
+// work counters that tools/bench_compare gates against bench/baselines/
+// would not be comparable run-to-run.
 #include "bench_util.h"
 
 #include <gtest/gtest.h>

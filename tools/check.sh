@@ -184,6 +184,12 @@ json_check "$SMOKE_DIR/tree_pruning.json"
   --benchmark_filter='BM_FpGrowth/0/200/0' \
   --json "$SMOKE_DIR/assoc_minsup.json" >/dev/null
 json_check "$SMOKE_DIR/assoc_minsup.json" threads cond_trees fp_nodes
+# Smallest Apriori row whose pass 2 yields frequent pairs (T5.I2.D10K at
+# 0.75%): the itemset count and the summed per-pass candidate census.
+"$BENCH_DIR/bench_assoc_minsup" --no-table \
+  --benchmark_filter='BM_Apriori/0/75/0' \
+  --json "$SMOKE_DIR/assoc_apriori.json" >/dev/null
+json_check "$SMOKE_DIR/assoc_apriori.json" threads itemsets candidates
 "$BENCH_DIR/bench_assoc_scaleup_t" --no-table \
   --benchmark_filter='BM_Eclat/5/0' \
   --json "$SMOKE_DIR/assoc_scaleup_t.json" >/dev/null
@@ -278,6 +284,8 @@ echo "== tier 3c: bench regression gate (bench_compare vs baselines) =="
 BENCH_COMPARE="$ROOT/build/tools/bench_compare"
 "$BENCH_COMPARE" "$ROOT/bench/baselines/assoc_minsup.json" \
   "$SMOKE_DIR/assoc_minsup.json"
+"$BENCH_COMPARE" "$ROOT/bench/baselines/assoc_apriori.json" \
+  "$SMOKE_DIR/assoc_apriori.json"
 "$BENCH_COMPARE" "$ROOT/bench/baselines/tree_scaleup.json" \
   "$SMOKE_DIR/tree_scaleup.json"
 "$BENCH_COMPARE" "$ROOT/bench/baselines/quantitative.json" \
