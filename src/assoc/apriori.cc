@@ -179,6 +179,24 @@ std::vector<FrequentItemset> CountFrequentCandidates(
   return frequent;
 }
 
+/// Publishes a level-wise miner's work counters from its pass stats, the
+/// call's own tally: candidates and frequent itemsets summed over the
+/// passes, and the number of passes run.
+void PublishPassCounters(obs::Span& span, const std::vector<PassStats>& passes,
+                         obs::Counter candidates_counter,
+                         obs::Counter frequent_counter,
+                         obs::Counter passes_counter) {
+  uint64_t candidates = 0;
+  uint64_t frequent = 0;
+  for (const PassStats& pass : passes) {
+    candidates += pass.candidates;
+    frequent += pass.frequent;
+  }
+  obs::PublishCounter(span, candidates_counter, candidates);
+  obs::PublishCounter(span, frequent_counter, frequent);
+  obs::PublishCounter(span, passes_counter, passes.size());
+}
+
 }  // namespace
 
 Result<MiningResult> MineApriori(const TransactionDatabase& db,
@@ -193,18 +211,12 @@ Result<MiningResult> MineApriori(const TransactionDatabase& db,
   obs::Counter frequent_counter("assoc/apriori/frequent");
   obs::Counter passes_counter("assoc/apriori/passes");
   obs::Span mine_span("assoc/apriori/mine");
-  mine_span.AttachCounter(candidates_counter);
-  mine_span.AttachCounter(frequent_counter);
-  mine_span.AttachCounter(passes_counter);
 
   MiningResult result;
   size_t num_singles = 0;
   std::vector<FrequentItemset> layer =
       FrequentSingles(db, min_count, &num_singles);
   result.passes.push_back({1, num_singles, layer.size()});
-  candidates_counter.Add(num_singles);
-  frequent_counter.Add(layer.size());
-  passes_counter.Increment();
   result.itemsets = layer;
 
   for (size_t k = 2; !layer.empty(); ++k) {
@@ -218,18 +230,16 @@ Result<MiningResult> MineApriori(const TransactionDatabase& db,
                                          &num_candidates);
     if (num_candidates == 0) {
       result.passes.push_back({k, 0, 0});
-      passes_counter.Increment();
       break;
     }
     result.passes.push_back({k, num_candidates, next_layer.size()});
-    candidates_counter.Add(num_candidates);
-    frequent_counter.Add(next_layer.size());
-    passes_counter.Increment();
     result.itemsets.insert(result.itemsets.end(), next_layer.begin(),
                            next_layer.end());
     layer = std::move(next_layer);
   }
   SortCanonical(&result.itemsets);
+  PublishPassCounters(mine_span, result.passes, candidates_counter,
+                      frequent_counter, passes_counter);
   return result;
 }
 
@@ -243,18 +253,12 @@ Result<MiningResult> MineAprioriTid(const TransactionDatabase& db,
   obs::Counter frequent_counter("assoc/apriori_tid/frequent");
   obs::Counter passes_counter("assoc/apriori_tid/passes");
   obs::Span mine_span("assoc/apriori_tid/mine");
-  mine_span.AttachCounter(candidates_counter);
-  mine_span.AttachCounter(frequent_counter);
-  mine_span.AttachCounter(passes_counter);
 
   MiningResult result;
   size_t num_singles = 0;
   std::vector<FrequentItemset> layer =
       FrequentSingles(db, min_count, &num_singles);
   result.passes.push_back({1, num_singles, layer.size()});
-  candidates_counter.Add(num_singles);
-  frequent_counter.Add(layer.size());
-  passes_counter.Increment();
   result.itemsets = layer;
 
   // Per-transaction lists of *frequent* (k-1)-itemset indices. For k=2 the
@@ -283,7 +287,6 @@ Result<MiningResult> MineAprioriTid(const TransactionDatabase& db,
         GenerateCandidates(ItemsetsOf(layer), /*record_parents=*/true);
     if (gen.candidates.empty()) {
       result.passes.push_back({k, 0, 0});
-      passes_counter.Increment();
       break;
     }
     // Group candidates by their first parent for set-oriented counting.
@@ -329,9 +332,6 @@ Result<MiningResult> MineAprioriTid(const TransactionDatabase& db,
       }
     }
     result.passes.push_back({k, gen.candidates.size(), next_layer.size()});
-    candidates_counter.Add(gen.candidates.size());
-    frequent_counter.Add(next_layer.size());
-    passes_counter.Increment();
     result.itemsets.insert(result.itemsets.end(), next_layer.begin(),
                            next_layer.end());
 
@@ -348,6 +348,8 @@ Result<MiningResult> MineAprioriTid(const TransactionDatabase& db,
     layer = std::move(next_layer);
   }
   SortCanonical(&result.itemsets);
+  PublishPassCounters(mine_span, result.passes, candidates_counter,
+                      frequent_counter, passes_counter);
   return result;
 }
 

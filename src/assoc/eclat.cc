@@ -102,9 +102,7 @@ Result<MiningResult> MineEclat(const TransactionDatabase& db,
   const core::ParallelContext ctx(params.num_threads);
 
   obs::Counter intersections_counter("assoc/eclat/tidset_intersections");
-  const obs::CounterDelta intersections_delta(intersections_counter);
   obs::Span mine_span("assoc/eclat/mine");
-  mine_span.AttachCounter(intersections_counter);
 
   MiningResult result;
   result.passes.push_back({1, db.item_universe(), 0});
@@ -176,10 +174,9 @@ Result<MiningResult> MineEclat(const TransactionDatabase& db,
     result.passes[d].pass = d + 1;
   }
   result.passes[0].candidates = db.item_universe();
-  // Publish the chunk-order-merged tally and re-read the public field
-  // through the registry, which is the source of truth for work counters.
-  intersections_counter.Add(result.tidset_intersections);
-  result.tidset_intersections = intersections_delta.Value();
+  // The chunk-order-merged tally is the call's work counter.
+  obs::PublishCounter(mine_span, intersections_counter,
+                      result.tidset_intersections);
   SortCanonical(&result.itemsets);
   return result;
 }

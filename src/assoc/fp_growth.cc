@@ -300,11 +300,7 @@ Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
 
   obs::Counter trees_counter("assoc/fp_growth/conditional_trees_built");
   obs::Counter nodes_counter("assoc/fp_growth/fp_nodes_allocated");
-  const obs::CounterDelta trees_delta(trees_counter);
-  const obs::CounterDelta nodes_delta(nodes_counter);
   obs::Span mine_span("assoc/fp_growth/mine");
-  mine_span.AttachCounter(trees_counter);
-  mine_span.AttachCounter(nodes_counter);
 
   MiningResult result;
   size_t num_frequent_items = 0;
@@ -338,12 +334,10 @@ Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
           });
     }
   }
-  // Publish the chunk-order-merged tallies and re-read the public fields
-  // through the registry, which is the source of truth for work counters.
-  trees_counter.Add(result.conditional_trees_built);
-  nodes_counter.Add(result.fp_nodes_allocated);
-  result.conditional_trees_built = trees_delta.Value();
-  result.fp_nodes_allocated = nodes_delta.Value();
+  // The chunk-order-merged tallies are the call's work counters.
+  obs::PublishCounter(mine_span, trees_counter,
+                      result.conditional_trees_built);
+  obs::PublishCounter(mine_span, nodes_counter, result.fp_nodes_allocated);
   SortCanonical(&result.itemsets);
 
   // Reconstruct per-size pass stats (pattern growth has no candidates

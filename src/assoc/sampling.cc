@@ -104,8 +104,6 @@ Result<MiningResult> MineWithSampling(const TransactionDatabase& db,
   obs::Counter misses_counter("assoc/sampling/border_misses");
   obs::Counter fallbacks_counter("assoc/sampling/fallbacks");
   obs::Span mine_span("assoc/sampling/mine");
-  mine_span.AttachCounter(candidates_counter);
-  mine_span.AttachCounter(misses_counter);
 
   // Draw the sample.
   Rng rng(options.seed);
@@ -154,7 +152,6 @@ Result<MiningResult> MineWithSampling(const TransactionDatabase& db,
     candidates.push_back(std::move(border_set));
   }
   out_stats->candidates_checked = candidates.size();
-  candidates_counter.Add(candidates.size());
 
   std::vector<uint32_t> supports = [&] {
     obs::Span verify_span("assoc/sampling/verify");
@@ -169,11 +166,13 @@ Result<MiningResult> MineWithSampling(const TransactionDatabase& db,
       // A frequent negative-border set: some superset may be frequent
       // too, so the one-scan result is not provably complete.
       ++out_stats->border_misses;
-      misses_counter.Increment();
       continue;
     }
     result.itemsets.push_back({candidates[i], supports[i]});
   }
+  obs::PublishCounter(mine_span, candidates_counter,
+                      out_stats->candidates_checked);
+  obs::PublishCounter(mine_span, misses_counter, out_stats->border_misses);
   if (out_stats->border_misses > 0) {
     // Some frequent itemset may lie beyond the verified candidates; redo
     // exactly (Toivonen's second pass, implemented as a full remine).

@@ -104,8 +104,6 @@ Result<MiningResult> StreamingMiner::MineWindow(
   obs::Counter candidates_counter("assoc/streaming/candidates_checked");
   obs::Counter misses_counter("assoc/streaming/border_misses");
   obs::Counter fallbacks_counter("assoc/streaming/fallbacks");
-  span.AttachCounter(candidates_counter);
-  span.AttachCounter(misses_counter);
 
   const TransactionDatabase window_db = WindowTransactions();
   const size_t n = window_db.size();
@@ -150,7 +148,6 @@ Result<MiningResult> StreamingMiner::MineWindow(
     candidates.push_back(std::move(border_set));
   }
   out_stats->candidates_checked = candidates.size();
-  candidates_counter.Add(candidates.size());
 
   const std::vector<uint32_t> supports = [&] {
     obs::Span verify_span("assoc/streaming/verify");
@@ -162,11 +159,13 @@ Result<MiningResult> StreamingMiner::MineWindow(
     if (supports[i] < exact_min) continue;
     if (i >= num_summary_candidates) {
       ++out_stats->border_misses;
-      misses_counter.Increment();
       continue;
     }
     result.itemsets.push_back({candidates[i], supports[i]});
   }
+  obs::PublishCounter(span, candidates_counter,
+                      out_stats->candidates_checked);
+  obs::PublishCounter(span, misses_counter, out_stats->border_misses);
   if (out_stats->border_misses > 0) {
     out_stats->fell_back = true;
     fallbacks_counter.Increment();

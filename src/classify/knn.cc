@@ -151,8 +151,7 @@ Result<std::vector<uint32_t>> KnnClassifier::PredictAll(
   }
   obs::Counter queries_counter("classify/knn/queries");
   obs::Span predict_span("classify/knn/predict_all");
-  predict_span.AttachCounter(queries_counter);
-  queries_counter.Add(queries.size());
+  obs::PublishCounter(predict_span, queries_counter, queries.size());
   std::vector<uint32_t> predictions;
   predictions.reserve(queries.size());
   std::vector<double> buffer(queries.dim());

@@ -254,16 +254,10 @@ Result<BirchResult> Birch(const PointSet& points,
   }
   const size_t dim = points.dim();
 
-  // BIRCH's global phase delegates to k-means, so its distance work lands
-  // in the k-means counter; the delta below spans both phases and the
-  // final labeling scan.
   obs::Counter comps_counter("cluster/kmeans/distance_computations");
-  const obs::CounterDelta comps_delta(comps_counter);
   obs::Counter rebuilds_counter("cluster/birch/rebuilds");
   obs::Gauge leaf_entries_gauge("cluster/birch/leaf_entries");
   obs::Span run_span("cluster/birch/run");
-  run_span.AttachCounter(comps_counter);
-  run_span.AttachCounter(rebuilds_counter);
 
   BirchResult result;
   double threshold = options.threshold > 0.0 ? options.threshold : 1e-3;
@@ -279,7 +273,6 @@ Result<BirchResult> Birch(const PointSet& points,
         std::vector<Cf> entries = tree->LeafEntries();
         threshold *= 2.0;
         ++result.rebuilds;
-        rebuilds_counter.Increment();
         tree = std::make_unique<CfTree>(dim, threshold, options.branching,
                                         options.leaf_entries);
         for (const Cf& entry : entries) tree->Insert(entry);
@@ -316,8 +309,10 @@ Result<BirchResult> Birch(const PointSet& points,
   obs::Span label_span("cluster/birch/label");
   result.clustering.centers = std::move(global.centers);
   result.clustering.iterations = global.iterations;
-  comps_counter.Add(points.size() * result.clustering.centers.size());
-  result.clustering.distance_computations = comps_delta.Value();
+  const uint64_t label_comps =
+      points.size() * result.clustering.centers.size();
+  result.clustering.distance_computations =
+      global.distance_computations + label_comps;
   result.clustering.assignments.resize(points.size());
   double sse = 0.0;
   for (size_t i = 0; i < points.size(); ++i) {
@@ -336,6 +331,13 @@ Result<BirchResult> Birch(const PointSet& points,
     sse += best_d;
   }
   result.clustering.sse = sse;
+  // The nested k-means call already published its own distance work, so
+  // the registry gets only the labeling pass; the span arg is the whole
+  // field, matching the result.
+  comps_counter.Add(label_comps);
+  run_span.AddArg(comps_counter.name().c_str(),
+                  result.clustering.distance_computations);
+  obs::PublishCounter(run_span, rebuilds_counter, result.rebuilds);
   return result;
 }
 

@@ -78,9 +78,13 @@ std::vector<std::byte> ContainerWriter::Serialize() const {
 
   std::vector<std::byte> out(cursor, std::byte{0});
   std::memcpy(out.data(), &header, sizeof(header));
-  std::memcpy(out.data() + sizeof(header), entries.data(),
-              entries.size() * sizeof(SectionEntry));
+  // Empty vectors may have null data(), which memcpy must never see.
+  if (!entries.empty()) {
+    std::memcpy(out.data() + sizeof(header), entries.data(),
+                entries.size() * sizeof(SectionEntry));
+  }
   for (size_t s = 0; s < sections_.size(); ++s) {
+    if (sections_[s].second.empty()) continue;
     std::memcpy(out.data() + entries[s].offset, sections_[s].second.data(),
                 sections_[s].second.size());
   }
@@ -146,8 +150,10 @@ core::Result<ContainerReader> ContainerReader::FromBytes(
   }
 
   std::vector<SectionEntry> entries(header.section_count);
-  std::memcpy(entries.data(), bytes.data() + sizeof(FileHeader),
-              entries.size() * sizeof(SectionEntry));
+  if (!entries.empty()) {
+    std::memcpy(entries.data(), bytes.data() + sizeof(FileHeader),
+                entries.size() * sizeof(SectionEntry));
+  }
 
   // Checksum before interpreting the table further: a flipped bit in any
   // header/table field must surface as a CRC mismatch, not as a confusing

@@ -1,12 +1,14 @@
 // Hierarchical RAII trace spans and the Chrome trace_event sink.
 //
-//   obs::Span scan("assoc/apriori/pass/count");
-//   scan.AddArg("k", k);
-//   scan.AttachCounter(candidates);   // records the counter's delta
+//   obs::Span mine("assoc/apriori/mine");
+//   ...                                    // tally work in the call
+//   obs::PublishCounter(mine, candidates, total_candidates);
 //
 // Spans record wall time (core::WallTimer) and process CPU time
-// (core::CpuTimer) between construction and destruction, plus any
-// attached args, and report to the global TraceSink. The sink serializes
+// (core::CpuTimer) between construction and destruction, plus any args,
+// and report to the global TraceSink. A work counter's arg is the call's
+// own tally, published by PublishCounter under the counter's registered
+// name, never a read of the global registry. The sink serializes
 // to Chrome trace_event JSON ("complete" events, ph="X") loadable in
 // chrome://tracing or Perfetto, with the metrics-registry totals embedded
 // as a "dmtCounters" object.
@@ -19,7 +21,7 @@
 //    the EXT-7 bench, not asserted.
 //  - Compile time: -DDMT_OBS_DISABLED compiles Span to an empty object so
 //    tracing vanishes entirely. The metrics registry stays available in
-//    both modes because public stats fields read through it.
+//    both modes: PublishCounter still adds to it when spans are empty.
 //
 // Naming scheme: span names are static strings of the form
 // "<family>/<algorithm>/<phase>" (nested phases append segments, e.g.
@@ -155,18 +157,12 @@ class Span {
   /// viewer). No-op on an inactive span.
   void AddArg(const char* key, uint64_t value);
 
-  /// Attaches a counter: the span records how much the counter grew
-  /// between this call and the span's close, keyed by the counter's
-  /// registered name.
-  void AttachCounter(const Counter& counter);
-
  private:
   const char* name_;
   bool active_;
   double start_wall_us_ = 0.0;
   double start_cpu_us_ = 0.0;
   std::vector<std::pair<std::string, uint64_t>> args_;
-  std::vector<std::pair<Counter, uint64_t>> attached_;
 };
 
 #else  // DMT_OBS_DISABLED
@@ -180,10 +176,17 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   void AddArg(const char*, uint64_t) {}
-  void AttachCounter(const Counter&) {}
 };
 
 #endif  // DMT_OBS_DISABLED
+
+/// Publishes one call's own work tally: a single registry Add and a span
+/// arg of the same value, keyed by the counter's registered name. Call it
+/// once per counter at the end of the call.
+inline void PublishCounter(Span& span, Counter counter, uint64_t value) {
+  counter.Add(value);
+  span.AddArg(counter.name().c_str(), value);
+}
 
 }  // namespace dmt::obs
 

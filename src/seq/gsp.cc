@@ -259,9 +259,6 @@ Result<SeqMiningResult> MineGsp(const SequenceDatabase& db,
   obs::Counter frequent_counter("seq/gsp/frequent");
   obs::Counter passes_counter("seq/gsp/passes");
   obs::Span mine_span("seq/gsp/mine");
-  mine_span.AttachCounter(candidates_counter);
-  mine_span.AttachCounter(frequent_counter);
-  mine_span.AttachCounter(passes_counter);
 
   // Pass 1: frequent items (customer support: once per customer).
   std::vector<uint32_t> item_support(db.item_universe(), 0);
@@ -285,9 +282,6 @@ Result<SeqMiningResult> MineGsp(const SequenceDatabase& db,
     }
   }
   result.passes.push_back({1, db.item_universe(), layer.size()});
-  candidates_counter.Add(db.item_universe());
-  frequent_counter.Add(layer.size());
-  passes_counter.Increment();
   result.patterns = layer;
 
   // Per-customer item signatures, computed once: a candidate whose
@@ -323,7 +317,6 @@ Result<SeqMiningResult> MineGsp(const SequenceDatabase& db,
     }
     if (candidates.empty()) {
       result.passes.push_back({k, 0, 0});
-      passes_counter.Increment();
       break;
     }
     std::vector<uint32_t> counts(candidates.size(), 0);
@@ -362,14 +355,21 @@ Result<SeqMiningResult> MineGsp(const SequenceDatabase& db,
       }
     }
     result.passes.push_back({k, candidates.size(), next_layer.size()});
-    candidates_counter.Add(candidates.size());
-    frequent_counter.Add(next_layer.size());
-    passes_counter.Increment();
     result.patterns.insert(result.patterns.end(), next_layer.begin(),
                            next_layer.end());
     layer = std::move(next_layer);
   }
   SortCanonicalSequences(&result.patterns);
+  // The pass stats are the call's own tally of its work.
+  uint64_t total_candidates = 0;
+  uint64_t total_frequent = 0;
+  for (const SeqPassStats& pass : result.passes) {
+    total_candidates += pass.candidates;
+    total_frequent += pass.frequent;
+  }
+  obs::PublishCounter(mine_span, candidates_counter, total_candidates);
+  obs::PublishCounter(mine_span, frequent_counter, total_frequent);
+  obs::PublishCounter(mine_span, passes_counter, result.passes.size());
   return result;
 }
 

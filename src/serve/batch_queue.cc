@@ -120,10 +120,11 @@ void BatchQueue::RunBatch(std::vector<Item> items) {
       server_->RecordRequestDone(&(*batch)[i]);
       (*callbacks)[i](std::move((*batch)[i].encoded));
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --batches_in_flight_;
-    }
+    // Notify under the lock: once the count reaches zero the destructor
+    // may wake and destroy all_done_, so the notify must finish before
+    // the waiter can reacquire mutex_.
+    std::lock_guard<std::mutex> lock(mutex_);
+    --batches_in_flight_;
     all_done_.notify_all();
   };
   if (server_->pool() != nullptr) {

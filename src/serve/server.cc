@@ -81,13 +81,7 @@ Server::Server(std::shared_ptr<const ModelBundle> bundle,
   cache_misses_ = obs::Counter("serve/cache_misses");
   cache_insertions_ = obs::Counter("serve/cache_insertions");
   cache_evictions_ = obs::Counter("serve/cache_evictions");
-  size_t buckets = 0;
-  while ((1u << buckets) < options_.batch_size) ++buckets;
-  bucket_counters_.reserve(buckets + 1);
-  for (size_t i = 0; i <= buckets; ++i) {
-    bucket_counters_.emplace_back(
-        core::StrFormat("serve/batch_bucket_%u", 1u << i));
-  }
+  hist_batch_size_ = obs::Histogram("serve/hist/batch_size");
   hist_basket_items_ = obs::Histogram("serve/hist/basket_items");
   hist_rules_scanned_ = obs::Histogram("serve/hist/rules_scanned");
   lat_total_ = obs::Histogram("serve/latency/total_us");
@@ -529,12 +523,7 @@ void Server::InsertCacheMisses(const PreparedRequest& prepared) {
 void Server::CountBatch(std::span<PreparedRequest*> batch) {
   const size_t size = batch.size();
   batches_.Increment();
-  size_t bucket = 0;
-  while ((size_t{1} << bucket) < size &&
-         bucket + 1 < bucket_counters_.size()) {
-    ++bucket;
-  }
-  bucket_counters_[bucket].Increment();
+  hist_batch_size_.Record(size);
   if (options_.latency_telemetry) {
     const uint64_t id =
         next_batch_id_.fetch_add(1, std::memory_order_relaxed);

@@ -10,8 +10,8 @@
 // Determinism contract (served by tests/serve/serving_diff_test.cc): for
 // a fixed frame sequence, HandleFrames() produces bit-identical response
 // bytes and identical serve/* counter totals at every batch_size and
-// num_threads, with the single exception of the batch-shape counters
-// (serve/batches, serve/batch_bucket_*), which intentionally describe
+// num_threads, with the single exception of the batch-shape metrics
+// (serve/batches, serve/hist/batch_size), which intentionally describe
 // the batching itself. The argument:
 //  - each response depends only on its own request and the immutable
 //    bundle; batches partition requests in arrival order, so grouping
@@ -164,7 +164,7 @@ class Server {
   /// basket order; bumps insertion/eviction counters.
   void InsertCacheMisses(const PreparedRequest& prepared);
 
-  /// Bumps the batch-shape counters for one batch and stamps the batch
+  /// Records the batch-shape metrics for one batch and stamps the batch
   /// id / size onto its requests for the per-request telemetry.
   void CountBatch(std::span<PreparedRequest*> batch);
 
@@ -224,9 +224,8 @@ class Server {
   obs::Counter cache_misses_;
   obs::Counter cache_insertions_;
   obs::Counter cache_evictions_;
-  /// Power-of-two batch-size histogram: bucket_counters_[i] counts
-  /// batches with 2^(i-1) < size <= 2^i.
-  std::vector<obs::Counter> bucket_counters_;
+  /// Requests per evaluated batch (batch shape, like serve/batches).
+  obs::Histogram hist_batch_size_;
 
   // Deterministic work-shape histograms (part of the counter contract:
   // bit-identical at every batch size × thread count × telemetry

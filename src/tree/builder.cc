@@ -98,10 +98,7 @@ class TreeBuilderImpl {
   DecisionTree Build(TreeBuildStats* stats) {
     obs::Counter scan_rows_counter("tree/greedy/split_scan_rows");
     obs::Counter nodes_counter("tree/greedy/nodes");
-    const obs::CounterDelta scan_rows_delta(scan_rows_counter);
     obs::Span build_span("tree/greedy/build");
-    build_span.AttachCounter(scan_rows_counter);
-    build_span.AttachCounter(nodes_counter);
 
     DecisionTree tree;
     // Capture rendering metadata.
@@ -123,14 +120,14 @@ class TreeBuilderImpl {
       obs::Span grow_span("tree/greedy/grow");
       Grow(&tree, std::move(root), 0);
     }
-    // Publish the per-chunk scan tallies in ascending chunk order (the
-    // determinism contract's merge order) and read the public stats field
-    // back through the registry.
-    for (const ScanScratch& s : scratch_) scan_rows_counter.Add(s.scan_rows);
-    nodes_counter.Add(internal::TreeAccess::Nodes(tree).size());
-    if (stats != nullptr) {
-      stats->split_scan_rows = scan_rows_delta.Value();
-    }
+    // Sum the per-chunk scan tallies in ascending chunk order (the
+    // determinism contract's merge order).
+    uint64_t scan_rows = 0;
+    for (const ScanScratch& s : scratch_) scan_rows += s.scan_rows;
+    obs::PublishCounter(build_span, scan_rows_counter, scan_rows);
+    obs::PublishCounter(build_span, nodes_counter,
+                        internal::TreeAccess::Nodes(tree).size());
+    if (stats != nullptr) stats->split_scan_rows = scan_rows;
     return tree;
   }
 

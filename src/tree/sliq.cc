@@ -75,10 +75,7 @@ Result<DecisionTree> BuildSliq(const Dataset& data,
 
   obs::Counter scan_rows_counter("tree/sliq/split_scan_rows");
   obs::Counter levels_counter("tree/sliq/levels");
-  const obs::CounterDelta scan_rows_delta(scan_rows_counter);
   obs::Span build_span("tree/sliq/build");
-  build_span.AttachCounter(scan_rows_counter);
-  build_span.AttachCounter(levels_counter);
 
   DecisionTree tree;
   auto& nodes = internal::TreeAccess::Nodes(tree);
@@ -131,7 +128,6 @@ Result<DecisionTree> BuildSliq(const Dataset& data,
   while (!slot_node.empty()) {
     obs::Span level_span("tree/sliq/level");
     level_span.AddArg("depth", depth);
-    levels_counter.Increment();
     const size_t num_slots = slot_node.size();
     // Finalize majority classes for this level's nodes, and hoist the
     // parent-side split-score terms (totals, impurity) out of the list
@@ -304,13 +300,13 @@ Result<DecisionTree> BuildSliq(const Dataset& data,
     slot_counts = std::move(next_slot_counts);
     ++depth;
   }
-  // Publish the per-chunk scan tallies in ascending chunk order (the
-  // determinism contract's merge order) and read the public stats field
-  // back through the registry.
-  for (const LevelScratch& s : scratch) scan_rows_counter.Add(s.scan_rows);
-  if (stats != nullptr) {
-    stats->split_scan_rows = scan_rows_delta.Value();
-  }
+  // Sum the per-chunk scan tallies in ascending chunk order (the
+  // determinism contract's merge order); one level ran per depth.
+  uint64_t scan_rows = 0;
+  for (const LevelScratch& s : scratch) scan_rows += s.scan_rows;
+  obs::PublishCounter(build_span, scan_rows_counter, scan_rows);
+  obs::PublishCounter(build_span, levels_counter, depth);
+  if (stats != nullptr) stats->split_scan_rows = scan_rows;
   return tree;
 }
 

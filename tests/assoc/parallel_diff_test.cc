@@ -4,7 +4,8 @@
 // per-pass census, same work counters. Covers the counting miners
 // (Apriori/AprioriTid, including Apriori's pass-2 pair table against a
 // hash tree over C2), the pattern-growth miners (FP-Growth/Eclat), and
-// the sampling verification scan.
+// the sampling verification scan. The concurrency cases run several calls
+// at once and check that each call's work counters are its own.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -15,6 +16,7 @@
 #include "assoc/fp_growth.h"
 #include "assoc/hash_tree.h"
 #include "assoc/sampling.h"
+#include "concurrent_calls.h"
 #include "core/check.h"
 #include "gen/quest.h"
 #include "obs/metrics.h"
@@ -445,6 +447,68 @@ TEST(RegistryParallelDiffTest, CounterTotalsIdenticalAcrossThreadCounts) {
           << "registry totals diverged at num_threads=" << threads;
     }
   }
+}
+
+/// A level-wise miner's registry counters under `prefix`, computed from
+/// its pass stats.
+testutil::CounterMap PassCounters(const std::string& prefix,
+                                  const std::vector<PassStats>& passes) {
+  uint64_t candidates = 0;
+  uint64_t frequent = 0;
+  for (const PassStats& pass : passes) {
+    candidates += pass.candidates;
+    frequent += pass.frequent;
+  }
+  return {{prefix + "/candidates", candidates},
+          {prefix + "/frequent", frequent},
+          {prefix + "/passes", passes.size()}};
+}
+
+MiningParams ConcurrentParams() {
+  MiningParams params;
+  params.min_support = 0.005;
+  params.num_threads = 2;
+  return params;
+}
+
+TEST(FpGrowthParallelDiffTest, ConcurrentCallsCountOnlyTheirOwnWork) {
+  const auto db = Workload(/*seed=*/81);
+  testutil::ExpectCountersBelongToTheCall("assoc/fp_growth/mine", [&] {
+    const MiningResult r = testutil::Ok(MineFpGrowth(db, ConcurrentParams()));
+    return testutil::CounterMap{
+        {"assoc/fp_growth/conditional_trees_built",
+         r.conditional_trees_built},
+        {"assoc/fp_growth/fp_nodes_allocated", r.fp_nodes_allocated}};
+  });
+}
+
+TEST(EclatParallelDiffTest, ConcurrentCallsCountOnlyTheirOwnWork) {
+  const auto db = Workload(/*seed=*/82);
+  using Repr = EclatOptions::TidsetRepr;
+  for (Repr repr : {Repr::kSortedVectors, Repr::kBitsets}) {
+    SCOPED_TRACE(repr == Repr::kBitsets ? "bitset" : "sorted vectors");
+    EclatOptions options;
+    options.representation = repr;
+    testutil::ExpectCountersBelongToTheCall("assoc/eclat/mine", [&] {
+      const MiningResult r =
+          testutil::Ok(MineEclat(db, ConcurrentParams(), options));
+      return testutil::CounterMap{
+          {"assoc/eclat/tidset_intersections", r.tidset_intersections}};
+    });
+  }
+}
+
+TEST(AprioriParallelDiffTest, ConcurrentCallsCountOnlyTheirOwnWork) {
+  const auto db = Workload(/*seed=*/83);
+  testutil::ExpectCountersBelongToTheCall("assoc/apriori/mine", [&] {
+    const MiningResult r = testutil::Ok(MineApriori(db, ConcurrentParams()));
+    return PassCounters("assoc/apriori", r.passes);
+  });
+  testutil::ExpectCountersBelongToTheCall("assoc/apriori_tid/mine", [&] {
+    const MiningResult r =
+        testutil::Ok(MineAprioriTid(db, ConcurrentParams()));
+    return PassCounters("assoc/apriori_tid", r.passes);
+  });
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Differential tests for the parallel clustering kernels: k-means and
 // DBSCAN with num_threads in {2, 4} must produce bit-identical output to
 // the serial path on seeded mixture workloads — same assignments/labels,
-// same centers, same SSE to the last bit.
+// same centers, same SSE to the last bit. The concurrency cases run
+// several k-means and BIRCH calls at once and check that each call's work
+// counters are its own.
 #include <gtest/gtest.h>
 
+#include "cluster/birch.h"
 #include "cluster/dbscan.h"
 #include "cluster/kmeans.h"
+#include "concurrent_calls.h"
 #include "core/check.h"
 #include "gen/mixture.h"
 #include "obs/metrics.h"
@@ -13,10 +17,11 @@
 namespace dmt::cluster {
 namespace {
 
-gen::LabeledPoints Mixture(size_t clusters, double noise, uint64_t seed) {
+gen::LabeledPoints Mixture(size_t clusters, double noise, uint64_t seed,
+                           size_t points_per_cluster = 150) {
   gen::GaussianMixtureParams params;
   params.num_clusters = clusters;
-  params.points_per_cluster = 150;
+  params.points_per_cluster = points_per_cluster;
   params.cluster_stddev = 0.8;
   params.placement = gen::CenterPlacement::kGrid;
   params.spread = 10.0;
@@ -251,6 +256,48 @@ TEST(RegistryParallelDiffTest, CounterTotalsIdenticalAcrossThreadCounts) {
           << "registry totals diverged at num_threads=" << threads;
     }
   }
+}
+
+TEST(KMeansParallelDiffTest, ConcurrentCallsCountOnlyTheirOwnWork) {
+  const auto data = Mixture(9, 0.05, /*seed=*/81, /*points_per_cluster=*/600);
+  using Assignment = KMeansOptions::Assignment;
+  for (Assignment assignment :
+       {Assignment::kLloyd, Assignment::kHamerly, Assignment::kElkan}) {
+    SCOPED_TRACE(static_cast<int>(assignment));
+    KMeansOptions options;
+    options.k = 12;
+    options.seed = 5;
+    options.assignment = assignment;
+    options.num_threads = 2;
+    testutil::ExpectCountersBelongToTheCall("cluster/kmeans/run", [&] {
+      const ClusteringResult r = testutil::Ok(KMeans(data.points, options));
+      return testutil::CounterMap{
+          {"cluster/kmeans/iterations", r.iterations},
+          {"cluster/kmeans/distance_computations", r.distance_computations}};
+    });
+  }
+}
+
+TEST(BirchParallelDiffTest, ConcurrentCallsCountOnlyTheirOwnWork) {
+  // BIRCH's field spans the nested k-means call plus its labeling pass,
+  // while the registry gets the nested call's own publish plus the
+  // labeling pass: both must stay per call under concurrency. A small
+  // entry budget forces threshold rebuilds. BIRCH takes no thread count;
+  // its nested k-means runs serially.
+  const auto data = Mixture(9, 0.05, /*seed=*/82, /*points_per_cluster=*/600);
+  BirchOptions options;
+  options.threshold = 0.05;
+  options.max_leaf_entries_total = 128;
+  options.global_clusters = 9;
+  options.global_assignment = KMeansOptions::Assignment::kHamerly;
+  testutil::ExpectCountersBelongToTheCall("cluster/birch/run", [&] {
+    const BirchResult r = testutil::Ok(Birch(data.points, options));
+    EXPECT_GT(r.rebuilds, 0u);
+    return testutil::CounterMap{
+        {"cluster/kmeans/distance_computations",
+         r.clustering.distance_computations},
+        {"cluster/birch/rebuilds", r.rebuilds}};
+  });
 }
 
 }  // namespace

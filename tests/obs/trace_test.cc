@@ -63,30 +63,36 @@ TEST(SpanTest, AggregatesGroupByName) {
   EXPECT_GE(aggregates[1].cpu_ms, 0.0);
 }
 
-TEST(SpanTest, AttachCounterRecordsDeltaNotTotal) {
-  FreshCollection();
-  Counter counter("test/trace/attached");
-  counter.Add(50);  // pre-span growth must not appear in the arg
+TEST(SpanTest, PublishCounterAddsTheTallyOnceAndRecordsIt) {
+  const std::string path = testing::TempDir() + "dmt_publish_test.json";
+  TraceSink::Global().Clear();
+  TraceSink::Global().Start(path);
+  Counter counter("test/trace/published");
+  counter.Add(50);  // earlier growth is not this call's work
   {
-    Span span("test/trace/with_counter");
-    span.AttachCounter(counter);
-    counter.Add(7);
+    Span span("test/trace/publishing");
+    PublishCounter(span, counter, 7);
   }
-  // The delta lands in the flushed JSON args; check via Flush below
-  // through the aggregate path: one event was recorded.
-  EXPECT_EQ(TraceSink::Global().event_count(), 1u);
+  TraceSink::Global().Stop();
+  EXPECT_EQ(counter.value(), 57u);
+  EXPECT_NE(ReadAll(path).find("\"test/trace/published\": 7"),
+            std::string::npos);
+  // A disabled span records nothing, but the registry still gets the Add.
+  {
+    Span span("test/trace/publishing");
+    PublishCounter(span, counter, 4);
+  }
+  EXPECT_EQ(counter.value(), 61u);
 }
 
 TEST(TraceSinkTest, StopFlushesChromeTraceJson) {
   const std::string path = testing::TempDir() + "dmt_trace_test.json";
   TraceSink::Global().Clear();
   TraceSink::Global().Start(path);
-  Counter counter("test/trace/flush_counter");
   {
     Span span("test/trace/flushed");
     span.AddArg("k", 3);
-    span.AttachCounter(counter);
-    counter.Add(11);
+    span.AddArg("test/trace/flush_arg", 11);
   }
   TraceSink::Global().Stop();
   const std::string json = ReadAll(path);
@@ -95,9 +101,7 @@ TEST(TraceSinkTest, StopFlushesChromeTraceJson) {
             std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"k\": 3"), std::string::npos);
-  // Attached counter serialized as its delta across the span.
-  EXPECT_NE(json.find("\"test/trace/flush_counter\": 11"),
-            std::string::npos);
+  EXPECT_NE(json.find("\"test/trace/flush_arg\": 11"), std::string::npos);
   EXPECT_NE(json.find("\"dmtCounters\""), std::string::npos);
   EXPECT_NE(json.find("\"dmtDroppedEvents\": 0"), std::string::npos);
   EXPECT_FALSE(TraceSink::Global().enabled());

@@ -1,9 +1,12 @@
 // Differential tests for the parallel GSP support-counting kernels: mining
 // with num_threads in {2, 4} must produce results identical to the serial
 // run on seeded synthetic customer sequences — both the specialized pass-2
-// counter and the generic containment scans are partitioned.
+// counter and the generic containment scans are partitioned. The
+// concurrency case runs several calls at once and checks that each call's
+// work counters are its own.
 #include <gtest/gtest.h>
 
+#include "concurrent_calls.h"
 #include "core/check.h"
 #include "gen/seqgen.h"
 #include "obs/metrics.h"
@@ -137,6 +140,25 @@ TEST(RegistryParallelDiffTest, CounterTotalsIdenticalAcrossThreadCounts) {
           << "registry totals diverged at num_threads=" << threads;
     }
   }
+}
+
+TEST(GspParallelDiffTest, ConcurrentCallsCountOnlyTheirOwnWork) {
+  auto db = Workload(/*seed=*/81);
+  SeqMiningParams params;
+  params.min_support = 0.03;
+  params.num_threads = 2;
+  testutil::ExpectCountersBelongToTheCall("seq/gsp/mine", [&] {
+    const SeqMiningResult r = testutil::Ok(MineGsp(db, params));
+    uint64_t candidates = 0;
+    uint64_t frequent = 0;
+    for (const SeqPassStats& pass : r.passes) {
+      candidates += pass.candidates;
+      frequent += pass.frequent;
+    }
+    return testutil::CounterMap{{"seq/gsp/candidates", candidates},
+                                {"seq/gsp/frequent", frequent},
+                                {"seq/gsp/passes", r.passes.size()}};
+  });
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // sequence, HandleFrames() must produce bit-identical response bytes at
 // every batch_size x num_threads x cache combination, and identical
 // serve/* counter totals within a cache setting — the only permitted
-// difference is the batch-shape counters (serve/batches,
-// serve/batch_bucket_*), which describe the batching itself. Two waves
+// difference is the batch-shape metrics (serve/batches,
+// serve/hist/batch_size), which describe the batching itself. Two waves
 // of traffic with repeated baskets make the second wave hit the cache,
 // so the cached fast path is covered by the same bit-identity check
 // (and once more with verify_cache_hits recomputing every hit).
@@ -144,11 +144,12 @@ RunResult RunConfig(std::shared_ptr<const ModelBundle> bundle,
        obs::Registry::Global().CounterSnapshot()) {
     if (name.rfind("serve/", 0) != 0) continue;
     if (name == "serve/batches") continue;
-    if (name.rfind("serve/batch_bucket_", 0) == 0) continue;
     result.counters.emplace_back(name, value);
   }
   for (const obs::HistogramData& hist :
        obs::Registry::Global().HistogramSnapshot()) {
+    // Batch shape, like serve/batches: excluded from the work shapes.
+    if (hist.name == "serve/hist/batch_size") continue;
     if (hist.name.rfind("serve/hist/", 0) == 0) {
       result.work_histograms.emplace_back(hist.name, hist.count, hist.sum,
                                           hist.buckets);

@@ -3,11 +3,13 @@
 // presorted and naive split-search engines grow bit-identical trees, any
 // thread count reproduces the serial tree node for node — structure,
 // thresholds, leaf histograms — and the split-scan work counters are
-// invariant across engines and thread counts.
+// invariant across engines and thread counts — also when several builds
+// run at once, each reporting only its own work.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "concurrent_calls.h"
 #include "core/dataset.h"
 #include "gen/agrawal.h"
 #include "obs/metrics.h"
@@ -235,6 +237,36 @@ TEST(RegistryParallelDiffTest, CounterTotalsIdenticalAcrossThreadCounts) {
           << "registry totals diverged at num_threads=" << threads;
     }
   }
+}
+
+TEST(TreeParallelDiffTest, ConcurrentGreedyBuildsCountOnlyTheirOwnWork) {
+  Dataset data = MakeAgrawal(2, 4000);
+  for (SplitSearch search : {SplitSearch::kNaive, SplitSearch::kPresorted}) {
+    SCOPED_TRACE(search == SplitSearch::kNaive ? "naive" : "presorted");
+    TreeOptions options;
+    options.split_search = search;
+    options.num_threads = 2;
+    testutil::ExpectCountersBelongToTheCall("tree/greedy/build", [&] {
+      TreeBuildStats stats;
+      const DecisionTree tree =
+          testutil::Ok(BuildTree(data, options, &stats));
+      return testutil::CounterMap{
+          {"tree/greedy/split_scan_rows", stats.split_scan_rows},
+          {"tree/greedy/nodes", tree.num_nodes()}};
+    });
+  }
+}
+
+TEST(TreeParallelDiffTest, ConcurrentSliqBuildsCountOnlyTheirOwnWork) {
+  Dataset data = MakeAgrawal(2, 4000);
+  SliqOptions options;
+  options.num_threads = 2;
+  testutil::ExpectCountersBelongToTheCall("tree/sliq/build", [&] {
+    TreeBuildStats stats;
+    testutil::Ok(BuildSliq(data, options, &stats));
+    return testutil::CounterMap{
+        {"tree/sliq/split_scan_rows", stats.split_scan_rows}};
+  });
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 # that runs the thread-pool unit tests and the serial-vs-parallel
 # differential tests for every parallelized miner (plus the out-of-core
 # differential and container-corruption tests), then an AddressSanitizer
-# build that re-runs the io corruption battery, then a bench smoke
+# build that re-runs the io corruption battery, then an
+# UndefinedBehaviorSanitizer build of the differential batteries and the
+# decoders of untrusted bytes, then a bench smoke
 # stage that runs the cluster, tree, association, and io benches at a
 # tiny configuration and checks the emitted --json records parse
 # (including the threads / work-counter / partition columns), a
@@ -120,6 +122,38 @@ export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
 # indexing — run it (and the bucket-boundary sweep) under ASan.
 "$ROOT/build-asan/tests/obs/obs_histogram_test"
 "$ROOT/build-asan/tests/obs/obs_expose_test"
+
+echo
+echo "== tier 2c: UndefinedBehaviorSanitizer build (DMT_SANITIZE=undefined) =="
+# -fno-sanitize-recover makes the first UB report abort the test, so a
+# clean exit means no report.
+cmake -B "$ROOT/build-ubsan" -S "$ROOT" \
+  -DDMT_SANITIZE=undefined \
+  -DDMT_BUILD_BENCHMARKS=OFF \
+  -DDMT_BUILD_EXAMPLES=OFF
+UBSAN_TARGETS=(
+  assoc_parallel_diff_test
+  cluster_parallel_diff_test
+  seq_parallel_diff_test
+  tree_parallel_diff_test
+  obs_metrics_test
+  obs_histogram_test
+  io_corruption_test
+  serve_protocol_test
+)
+cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target "${UBSAN_TARGETS[@]}"
+export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
+# The differential batteries drive every parallel kernel, including the
+# concurrent-call cases; the metrics, io and protocol tests cover the
+# bucket arithmetic and the byte-level decoders of untrusted input.
+"$ROOT/build-ubsan/tests/assoc/assoc_parallel_diff_test"
+"$ROOT/build-ubsan/tests/cluster/cluster_parallel_diff_test"
+"$ROOT/build-ubsan/tests/seq/seq_parallel_diff_test"
+"$ROOT/build-ubsan/tests/tree/tree_parallel_diff_test"
+"$ROOT/build-ubsan/tests/obs/obs_metrics_test"
+"$ROOT/build-ubsan/tests/obs/obs_histogram_test"
+"$ROOT/build-ubsan/tests/io/io_corruption_test"
+"$ROOT/build-ubsan/tests/serve/serve_protocol_test"
 
 echo
 echo "== tier 3: bench smoke (tiny configs, --json must parse) =="
