@@ -96,10 +96,9 @@ Result<DbscanResult> Dbscan(const PointSet& points,
   if (ctx.parallel()) {
     obs::Span batch_span("cluster/dbscan/batch_queries");
     batched.resize(points.size());
-    core::ParallelForChunks(
-        ctx.pool(), 0, points.size(), [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) batched[i] = query_point(i);
-        });
+    ctx.ForEachChunk(points.size(), [&](size_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) batched[i] = query_point(i);
+    });
   }
   // Counted at the consumption site, on the orchestrating thread: the
   // parallel mode prefetches every neighbourhood but the serial sweep

@@ -78,15 +78,13 @@ PointSet SeedCenters(const PointSet& points,
   std::vector<double> sampling_weight(points.size(), 0.0);
   while (centers.size() < k) {
     auto latest = centers.point(centers.size() - 1);
-    core::ParallelForChunks(
-        ctx.pool(), 0, points.size(), [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            double d =
-                core::SquaredEuclideanDistance(points.point(i), latest);
-            if (d < min_dist_sq[i]) min_dist_sq[i] = d;
-            sampling_weight[i] = min_dist_sq[i] * weights[i];
-          }
-        });
+    ctx.ForEachChunk(points.size(), [&](size_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        double d = core::SquaredEuclideanDistance(points.point(i), latest);
+        if (d < min_dist_sq[i]) min_dist_sq[i] = d;
+        sampling_weight[i] = min_dist_sq[i] * weights[i];
+      }
+    });
     *distance_computations += points.size();
     double total = 0.0;
     for (double w : sampling_weight) total += w;

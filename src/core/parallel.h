@@ -37,8 +37,9 @@ class ParallelContext {
   /// True when a pool exists (num_threads >= 2).
   bool parallel() const { return pool_ != nullptr; }
 
-  /// The pool, or nullptr in serial mode (the null-pool convention of
-  /// ParallelForChunks).
+  /// The pool, or nullptr in serial mode. For callers that hand the pool
+  /// single tasks of their own (the serving BatchQueue); range work goes
+  /// through ForEachChunk.
   ThreadPool* pool() const { return pool_.get(); }
 
   /// Number of chunks ForEachChunk splits a range of size n into: 0 for an

@@ -65,22 +65,4 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ParallelForChunks(ThreadPool* pool, size_t begin, size_t end,
-                       const std::function<void(size_t, size_t)>& body) {
-  if (begin >= end) return;
-  if (pool == nullptr || pool->num_threads() == 1) {
-    body(begin, end);
-    return;
-  }
-  size_t range = end - begin;
-  size_t chunks = std::min(range, pool->num_threads() * 4);
-  size_t chunk_size = (range + chunks - 1) / chunks;
-  for (size_t chunk_begin = begin; chunk_begin < end;
-       chunk_begin += chunk_size) {
-    size_t chunk_end = std::min(end, chunk_begin + chunk_size);
-    pool->Submit([=] { body(chunk_begin, chunk_end); });
-  }
-  pool->Wait();
-}
-
 }  // namespace dmt::core

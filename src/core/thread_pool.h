@@ -6,12 +6,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace dmt::core {
@@ -37,25 +33,6 @@ class ThreadPool {
   /// a destroyed pool.
   void Submit(std::function<void()> task);
 
-  /// Single-task variant returning a future for the task's result — the
-  /// submission API of request/batch pipelines (serve's micro-batching
-  /// queue), where the submitter needs completion signalling per task
-  /// rather than a whole-pool Wait() barrier. Shares the FIFO queue with
-  /// Submit(), so SubmitTask work and ParallelForChunks work interleave
-  /// safely on one pool and Wait() covers SubmitTask work too. Tasks must
-  /// not throw (pool contract; packaged_task would defer the exception
-  /// into the future, hiding it from callers that never get()).
-  template <typename F>
-  auto SubmitTask(F&& fn)
-      -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    Submit([task] { (*task)(); });
-    return future;
-  }
-
   /// Blocks until the pool is idle: the queue is empty and no task is
   /// running. Tasks submitted concurrently with a Wait() in progress (by
   /// other threads or by running tasks) extend that Wait(); a Submit that
@@ -77,13 +54,6 @@ class ThreadPool {
   size_t active_tasks_ = 0;
   bool shutting_down_ = false;
 };
-
-/// Splits [begin, end) into contiguous chunks and runs `body(chunk_begin,
-/// chunk_end)` across the pool; blocks until complete. A null pool runs
-/// serially.
-void ParallelForChunks(
-    ThreadPool* pool, size_t begin, size_t end,
-    const std::function<void(size_t, size_t)>& body);
 
 }  // namespace dmt::core
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <span>
 #include <utility>
 
 #include "core/check.h"
@@ -47,8 +46,7 @@ void BatchQueue::Flush() {
   });
 }
 
-std::vector<BatchQueue::Item> BatchQueue::TakeBatch(
-    std::unique_lock<std::mutex>* lock) {
+std::vector<BatchQueue::Item> BatchQueue::TakeBatch() {
   const size_t take =
       std::min<size_t>(queue_.size(), server_->options().batch_size);
   std::vector<Item> items;
@@ -58,7 +56,6 @@ std::vector<BatchQueue::Item> BatchQueue::TakeBatch(
     queue_.pop_front();
   }
   if (!items.empty()) ++batches_in_flight_;
-  (void)lock;
   return items;
 }
 
@@ -82,16 +79,15 @@ void BatchQueue::DrainLoop() {
            work_available_.wait_until(lock, deadline) !=
                std::cv_status::timeout) {
     }
-    std::vector<Item> items = TakeBatch(&lock);
+    std::vector<Item> items = TakeBatch();
     lock.unlock();
     if (!items.empty()) RunBatch(std::move(items));
   }
 }
 
 void BatchQueue::RunBatch(std::vector<Item> items) {
-  // Prepare + cache lookups stay on the accumulator thread, in drain
-  // order (single-writer on the lookup counters; insertions happen in
-  // the evaluation task under the cache's shard locks).
+  // Prepare stays on the accumulator thread, in drain order; everything
+  // after it is Server::Process, run as one task.
   auto batch = std::make_shared<std::vector<PreparedRequest>>();
   auto callbacks = std::make_shared<std::vector<ResponseCallback>>();
   batch->reserve(items.size());
@@ -101,23 +97,10 @@ void BatchQueue::RunBatch(std::vector<Item> items) {
     server_->RecordQueueWait(&batch->back(), item.submit_ts_us);
     callbacks->push_back(std::move(item.callback));
   }
-  for (PreparedRequest& p : *batch) server_->LookupCache(&p);
-  {
-    std::vector<PreparedRequest*> pointers;
-    pointers.reserve(batch->size());
-    for (PreparedRequest& p : *batch) pointers.push_back(&p);
-    server_->CountBatch(std::span<PreparedRequest*>(pointers));
-  }
 
-  auto evaluate = [this, batch, callbacks] {
-    std::vector<PreparedRequest*> pointers;
-    pointers.reserve(batch->size());
-    for (PreparedRequest& p : *batch) pointers.push_back(&p);
-    server_->FoldTally(
-        server_->EvaluateBatch(std::span<PreparedRequest*>(pointers)));
-    for (const PreparedRequest& p : *batch) server_->InsertCacheMisses(p);
+  auto process = [this, batch, callbacks] {
+    server_->Process(*batch);
     for (size_t i = 0; i < batch->size(); ++i) {
-      server_->RecordRequestDone(&(*batch)[i]);
       (*callbacks)[i](std::move((*batch)[i].encoded));
     }
     // Notify under the lock: once the count reaches zero the destructor
@@ -128,11 +111,9 @@ void BatchQueue::RunBatch(std::vector<Item> items) {
     all_done_.notify_all();
   };
   if (server_->pool() != nullptr) {
-    // Fire-and-forget: completion is tracked by batches_in_flight_, not
-    // the future.
-    server_->pool()->Submit(evaluate);
+    server_->pool()->Submit(std::move(process));
   } else {
-    evaluate();
+    process();
   }
 }
 

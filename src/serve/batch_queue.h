@@ -2,17 +2,17 @@
 // heart of the daemon. Submit() enqueues a raw request frame plus a
 // completion callback; a single accumulator thread drains up to
 // batch_size pending frames (or whatever arrived within batch_timeout_us
-// of the oldest pending frame) and hands the whole batch to the server as
-// ONE unit: prepare + cache lookups on the accumulator thread (in drain
-// order), evaluation as one task on the server's thread pool (inline when
-// the server is serial). Parallelism comes from concurrent *batches* in
-// flight, never from splitting a batch, so batching cannot change any
-// response (serving_diff_test.cc holds the sync path to that bit-for-bit;
-// the async path shares every evaluation code path).
+// of the oldest pending frame), prepares them in drain order, and hands
+// the batch to the server's pool as ONE task running Server::Process —
+// the orchestration HandleFrames runs — then the callbacks (inline when
+// the server is serial). The only difference from HandleFrames is the
+// unit handed over: one drained batch, which Process evaluates inline.
+// Parallelism comes from concurrent batches in flight, never from
+// splitting a batch, so batching cannot change any response.
 //
-// Unlike Server::HandleFrames, cache lookups happen at drain time, so
-// hit/miss counters here depend on arrival timing — by design; the
-// deterministic counter contract belongs to the sync path.
+// Concurrent batches look up and insert into the cache in whatever order
+// their tasks run, so hit/miss counters here depend on arrival timing —
+// by design; the deterministic counter contract belongs to HandleFrames.
 #ifndef DMT_SERVE_BATCH_QUEUE_H_
 #define DMT_SERVE_BATCH_QUEUE_H_
 
@@ -64,8 +64,9 @@ class BatchQueue {
   };
 
   void DrainLoop();
-  /// Pops up to batch_size items (holding the lock), returns them.
-  std::vector<Item> TakeBatch(std::unique_lock<std::mutex>* lock);
+  /// Pops up to batch_size items and counts the batch in flight; the
+  /// caller holds mutex_.
+  std::vector<Item> TakeBatch();
   void RunBatch(std::vector<Item> items);
 
   Server* server_;

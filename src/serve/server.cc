@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <utility>
 
 #include "core/check.h"
@@ -59,12 +58,11 @@ const char* TypeName(RequestType type) {
 
 Server::Server(std::shared_ptr<const ModelBundle> bundle,
                ServeOptions options)
-    : bundle_(std::move(bundle)), options_(options) {
+    : bundle_(std::move(bundle)),
+      options_(options),
+      ctx_(options.num_threads) {
   DMT_CHECK(bundle_ != nullptr);
   DMT_CHECK(options_.Validate().ok());
-  if (options_.num_threads >= 2) {
-    pool_ = std::make_unique<core::ThreadPool>(options_.num_threads);
-  }
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<ShardedLruCache>(options_.cache_capacity,
                                                options_.cache_shards);
@@ -348,10 +346,10 @@ void Server::EvaluateCluster(PreparedRequest* prepared,
   tally->points_assigned += prepared->request.count;
 }
 
-std::vector<RuleHit> Server::ScoreBasket(
-    const std::vector<uint32_t>& basket, uint64_t basket_signature,
-    const core::DynamicBitset& bits, uint32_t top_k,
-    uint64_t* rules_scanned) const {
+std::vector<RuleHit> Server::ScoreBasket(uint64_t basket_signature,
+                                         const core::DynamicBitset& bits,
+                                         uint32_t top_k,
+                                         uint64_t* rules_scanned) const {
   const std::vector<assoc::AssociationRule>& rules = bundle_->rules();
   const std::vector<StagedRule>& staged = bundle_->staged_rules();
   std::vector<RuleHit> hits;
@@ -393,20 +391,16 @@ std::vector<RuleHit> Server::ScoreBasket(
     hits.push_back(std::move(hit));
     if (hits.size() == top_k) break;
   }
-  (void)basket;
   return hits;
 }
 
 void Server::EvaluateRecommendGroup(std::span<PreparedRequest*> group,
                                     BatchTally* tally) const {
-  // One shared bitset per batch, sized for the rule universe and every
-  // basket in the group; baskets set and clear their own bits.
-  uint32_t max_item = bundle_->max_rule_item();
-  for (PreparedRequest* p : group) {
-    for (const std::vector<uint32_t>& basket : p->canonical_baskets) {
-      if (!basket.empty()) max_item = std::max(max_item, basket.back());
-    }
-  }
+  // One shared bitset per batch, sized for the rule universe only:
+  // baskets set and clear their own bits, and an item above every rule
+  // item can match no antecedent or consequent, so it gets no bit (a
+  // hostile item id must not size the allocation).
+  const uint32_t max_item = bundle_->max_rule_item();
   core::DynamicBitset bits(size_t{max_item} + 1);
   for (PreparedRequest* p : group) {
     p->response.recommendations.reserve(p->canonical_baskets.size());
@@ -420,16 +414,18 @@ void Server::EvaluateRecommendGroup(std::span<PreparedRequest*> group,
       }
       uint64_t signature = 0;
       for (uint32_t item : basket) {
-        bits.Set(item);
+        if (item <= max_item) bits.Set(item);
         signature |= core::kernels::SignatureOfItem(item);
       }
       const uint64_t scanned_before = tally->rules_scanned;
       std::vector<RuleHit> hits = ScoreBasket(
-          basket, signature, bits, p->request.top_k, &tally->rules_scanned);
+          signature, bits, p->request.top_k, &tally->rules_scanned);
       ++tally->baskets_scored;
       tally->basket_rule_scans.push_back(
           static_cast<uint32_t>(tally->rules_scanned - scanned_before));
-      for (uint32_t item : basket) bits.Clear(item);
+      for (uint32_t item : basket) {
+        if (item <= max_item) bits.Clear(item);
+      }
       if (have_cached) {
         // The cache contract, asserted: a hit must be bit-identical to
         // the recompute.
@@ -520,20 +516,6 @@ void Server::InsertCacheMisses(const PreparedRequest& prepared) {
   }
 }
 
-void Server::CountBatch(std::span<PreparedRequest*> batch) {
-  const size_t size = batch.size();
-  batches_.Increment();
-  hist_batch_size_.Record(size);
-  if (options_.latency_telemetry) {
-    const uint64_t id =
-        next_batch_id_.fetch_add(1, std::memory_order_relaxed);
-    for (PreparedRequest* p : batch) {
-      p->batch_id = id;
-      p->batch_requests = static_cast<uint32_t>(size);
-    }
-  }
-}
-
 double Server::TelemetryNowUs() const {
   return options_.latency_telemetry ? NowUs() : 0.0;
 }
@@ -613,6 +595,17 @@ std::vector<std::vector<std::byte>> Server::HandleFrames(
   for (const std::vector<std::byte>& frame : frames) {
     prepared.push_back(Prepare(frame));
   }
+  Process(prepared);
+
+  std::vector<std::vector<std::byte>> responses;
+  responses.reserve(prepared.size());
+  for (PreparedRequest& p : prepared) {
+    responses.push_back(std::move(p.encoded));
+  }
+  return responses;
+}
+
+void Server::Process(std::span<PreparedRequest> prepared) {
   // All cache lookups happen here, sequentially in request order, before
   // any batch runs — the determinism half of the cache design.
   for (PreparedRequest& p : prepared) LookupCache(&p);
@@ -625,34 +618,34 @@ std::vector<std::vector<std::byte>> Server::HandleFrames(
     }
     batches.back().push_back(&p);
   }
-  for (auto& batch : batches) CountBatch(std::span(batch));
-
-  if (pool_ != nullptr && batches.size() > 1) {
-    std::vector<std::future<BatchTally>> futures;
-    futures.reserve(batches.size());
-    for (auto& batch : batches) {
-      futures.push_back(pool_->SubmitTask(
-          [this, &batch] { return EvaluateBatch(std::span(batch)); }));
-    }
-    // Fold in batch order: totals are order-invariant, but keeping the
-    // fold sequenced documents (and TSan-checks) the single-writer rule.
-    for (std::future<BatchTally>& f : futures) FoldTally(f.get());
-  } else {
-    for (auto& batch : batches) {
-      FoldTally(EvaluateBatch(std::span(batch)));
+  // Batch-shape metrics, and the batch id / size stamps of the
+  // per-request telemetry.
+  for (const std::vector<PreparedRequest*>& batch : batches) {
+    batches_.Increment();
+    hist_batch_size_.Record(batch.size());
+    if (!options_.latency_telemetry) continue;
+    const uint64_t id = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
+    for (PreparedRequest* p : batch) {
+      p->batch_id = id;
+      p->batch_requests = static_cast<uint32_t>(batch.size());
     }
   }
+
+  // A single batch (always the case for a BatchQueue drain) evaluates
+  // inline: ForEachChunk runs one chunk on the calling thread.
+  std::vector<BatchTally> tallies(batches.size());
+  ctx_.ForEachChunk(batches.size(), [&](size_t, size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) {
+      tallies[b] = EvaluateBatch(std::span(batches[b]));
+    }
+  });
+  // Fold in batch order: totals are order-invariant, but keeping the
+  // fold sequenced documents (and TSan-checks) the single-writer rule.
+  for (const BatchTally& tally : tallies) FoldTally(tally);
   // Misses enter the cache only now, in request order, after every batch
   // completed — batch shape cannot affect what later lookups see.
   for (const PreparedRequest& p : prepared) InsertCacheMisses(p);
   for (PreparedRequest& p : prepared) RecordRequestDone(&p);
-
-  std::vector<std::vector<std::byte>> responses;
-  responses.reserve(prepared.size());
-  for (PreparedRequest& p : prepared) {
-    responses.push_back(std::move(p.encoded));
-  }
-  return responses;
 }
 
 std::string Server::StatsJson() const {

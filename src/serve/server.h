@@ -7,6 +7,10 @@
 // at load, and all baskets in a batch share one DynamicBitset for the
 // rule-containment scans.
 //
+// One Process() serves both front doors: HandleFrames() hands it a whole
+// frame sequence, the async BatchQueue one drained batch at a time. The
+// unit handed over is the only difference, not a second code path.
+//
 // Determinism contract (served by tests/serve/serving_diff_test.cc): for
 // a fixed frame sequence, HandleFrames() produces bit-identical response
 // bytes and identical serve/* counter totals at every batch_size and
@@ -22,9 +26,9 @@
 //    orchestrating thread *before* any batch is evaluated, and misses
 //    are inserted in request order *after* every batch completed — so
 //    hit/miss/insertion/eviction totals cannot depend on batch shape or
-//    worker scheduling. (The async BatchQueue path trades this for
-//    latency: it looks up at drain time, so its cache counters are
-//    timing-dependent; its responses are still bit-identical.)
+//    worker scheduling. (Through the BatchQueue, Process() calls for
+//    different drained batches run concurrently, so its cache counters
+//    are timing-dependent; its responses are still bit-identical.)
 #ifndef DMT_SERVE_SERVER_H_
 #define DMT_SERVE_SERVER_H_
 
@@ -37,6 +41,7 @@
 
 #include "core/bitset.h"
 #include "core/status.h"
+#include "core/parallel.h"
 #include "core/thread_pool.h"
 #include "obs/metrics.h"
 #include "serve/lru_cache.h"
@@ -75,9 +80,8 @@ struct ServeOptions {
   core::Status Validate() const;
 };
 
-/// One decoded request staged for batch evaluation. Public only for the
-/// BatchQueue, which drives the same prepare/evaluate/insert phases on
-/// its own schedule.
+/// One decoded request staged for Process(). Public for the BatchQueue,
+/// which prepares on its drainer thread and processes on a worker.
 struct PreparedRequest {
   Request request;
   /// Set when decode/validation failed; `encoded` already holds the
@@ -118,15 +122,21 @@ class Server {
   /// Convenience single-frame path: HandleFrames on a batch of one.
   std::vector<std::byte> HandleFrame(std::span<const std::byte> frame);
 
-  /// Deterministic micro-batched path: partitions `frames` into batches
-  /// of at most batch_size in order, evaluates batches (concurrently
-  /// when num_threads >= 2), and returns one response frame per input
-  /// frame, in input order. Malformed frames yield error responses in
-  /// their slot; this function never fails.
+  /// Deterministic micro-batched path: Prepare()s every frame in order,
+  /// runs them through one Process() call, and returns one response
+  /// frame per input frame, in input order. Malformed frames yield error
+  /// responses in their slot; this function never fails.
   std::vector<std::vector<std::byte>> HandleFrames(
       const std::vector<std::vector<std::byte>>& frames);
 
-  // -- phase API (used by HandleFrames and the async BatchQueue) -------
+  /// The one orchestration, in order: cache lookups, the cut into
+  /// batches of at most batch_size (fanned out over the pool when more
+  /// than one), the tally fold in batch order, cache-miss insertion and
+  /// per-request telemetry. Leaves each response frame in `encoded`. A
+  /// call from a pool task must hold at most batch_size requests.
+  void Process(std::span<PreparedRequest> prepared);
+
+  // -- phases of Process, public for per-phase cost measurement --------
 
   /// Decode + validate one frame; bumps serve/requests (and serve/errors
   /// on failure). Call sequentially in arrival order.
@@ -164,10 +174,6 @@ class Server {
   /// basket order; bumps insertion/eviction counters.
   void InsertCacheMisses(const PreparedRequest& prepared);
 
-  /// Records the batch-shape metrics for one batch and stamps the batch
-  /// id / size onto its requests for the per-request telemetry.
-  void CountBatch(std::span<PreparedRequest*> batch);
-
   /// Telemetry clock: microseconds since the trace epoch, or 0 when
   /// latency telemetry is off (so callers may stamp unconditionally).
   double TelemetryNowUs() const;
@@ -177,12 +183,6 @@ class Server {
   /// `submit_ts_us` so total latency includes the queue.
   void RecordQueueWait(PreparedRequest* prepared, double submit_ts_us);
 
-  /// Finalizes one request's telemetry once its response frame is ready:
-  /// total + per-type latency histograms, the per-request trace span
-  /// (request id, batch id, cache hit/miss as args), and the slow-query
-  /// log. No-op when latency telemetry is off.
-  void RecordRequestDone(PreparedRequest* prepared);
-
   /// Current serving stats as a JSON object (bundle inventory, options,
   /// serve/* counter totals, cache size).
   std::string StatsJson() const;
@@ -190,10 +190,16 @@ class Server {
   const ServeOptions& options() const { return options_; }
   const ModelBundle& bundle() const { return *bundle_; }
   /// nullptr when evaluation is serial.
-  core::ThreadPool* pool() { return pool_.get(); }
+  core::ThreadPool* pool() { return ctx_.pool(); }
   bool cache_enabled() const { return cache_ != nullptr; }
 
  private:
+  /// Finalizes one request's telemetry once its response frame is ready:
+  /// total + per-type latency histograms, the per-request trace span
+  /// (request id, batch id, cache hit/miss as args), and the slow-query
+  /// log. No-op when latency telemetry is off.
+  void RecordRequestDone(PreparedRequest* prepared);
+
   core::Status ValidateRequest(const Request& request) const;
   PreparedRequest PrepareImpl(std::span<const std::byte> frame);
   void EvaluateClassifyGroup(std::span<PreparedRequest*> group,
@@ -201,15 +207,14 @@ class Server {
   void EvaluateCluster(PreparedRequest* prepared, BatchTally* tally) const;
   void EvaluateRecommendGroup(std::span<PreparedRequest*> group,
                               BatchTally* tally) const;
-  std::vector<RuleHit> ScoreBasket(const std::vector<uint32_t>& basket,
-                                   uint64_t basket_signature,
+  std::vector<RuleHit> ScoreBasket(uint64_t basket_signature,
                                    const core::DynamicBitset& bits,
                                    uint32_t top_k,
                                    uint64_t* rules_scanned) const;
 
   std::shared_ptr<const ModelBundle> bundle_;
   ServeOptions options_;
-  std::unique_ptr<core::ThreadPool> pool_;
+  core::ParallelContext ctx_;
   std::unique_ptr<ShardedLruCache> cache_;
 
   obs::Counter requests_;

@@ -7,10 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <future>
-#include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.h"
@@ -100,107 +98,6 @@ TEST(ThreadPoolTest, AtLeastOneWorkerEvenForZero) {
   pool.Submit([&counter] { counter.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitTaskReturnsResultThroughFuture) {
-  ThreadPool pool(2);
-  std::future<int> answer = pool.SubmitTask([] { return 6 * 7; });
-  EXPECT_EQ(answer.get(), 42);
-  // Void tasks get a future usable purely as a completion signal.
-  std::atomic<bool> ran{false};
-  std::future<void> done = pool.SubmitTask([&ran] { ran.store(true); });
-  done.get();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, SubmitTaskMoveOnlyResultAndCapture) {
-  ThreadPool pool(2);
-  auto payload = std::make_unique<int>(17);
-  std::future<std::unique_ptr<int>> moved = pool.SubmitTask(
-      [p = std::move(payload)]() mutable { return std::move(p); });
-  std::unique_ptr<int> result = moved.get();
-  ASSERT_NE(result, nullptr);
-  EXPECT_EQ(*result, 17);
-}
-
-TEST(ThreadPoolTest, SubmitTaskFromInsideTaskDoesNotDeadlock) {
-  ThreadPool pool(2);
-  std::future<int> outer = pool.SubmitTask([&pool] {
-    // Nested SubmitTask enqueues; the parent must not block on the
-    // child's future while holding the only worker if the pool is
-    // saturated — here one other worker is free, so get() is safe and
-    // the contract matches Submit()'s reentrancy guarantee.
-    std::future<int> inner = pool.SubmitTask([] { return 5; });
-    return inner.get() + 1;
-  });
-  EXPECT_EQ(outer.get(), 6);
-}
-
-TEST(ThreadPoolTest, SubmitTaskIsCoveredByWait) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.SubmitTask([&counter] { counter.fetch_add(1); }));
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-  for (auto& f : futures) {
-    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-  }
-}
-
-// TSan-facing stress: many threads submitting future-returning tasks that
-// in turn submit, with every result collected. Exercises the queue,
-// promise/future handoff, and the drain-then-join destructor under
-// contention (this binary runs in the tier-2 TSan batch of check.sh).
-TEST(ThreadPoolTest, SubmitTaskConcurrentStress) {
-  constexpr int kSubmitters = 4;
-  constexpr int kTasksPerSubmitter = 250;
-  ThreadPool pool(4);
-  std::atomic<uint64_t> nested_sum{0};
-  std::vector<std::thread> submitters;
-  std::vector<std::vector<std::future<uint64_t>>> results(kSubmitters);
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&pool, &nested_sum, &results, s] {
-      results[s].reserve(kTasksPerSubmitter);
-      for (int i = 0; i < kTasksPerSubmitter; ++i) {
-        results[s].push_back(pool.SubmitTask([&pool, &nested_sum, s, i] {
-          pool.Submit([&nested_sum] { nested_sum.fetch_add(1); });
-          return static_cast<uint64_t>(s * kTasksPerSubmitter + i);
-        }));
-      }
-    });
-  }
-  for (auto& t : submitters) t.join();
-  uint64_t direct_sum = 0;
-  for (auto& per_submitter : results) {
-    for (auto& f : per_submitter) direct_sum += f.get();
-  }
-  const uint64_t n = kSubmitters * kTasksPerSubmitter;
-  EXPECT_EQ(direct_sum, n * (n - 1) / 2);
-  pool.Wait();
-  EXPECT_EQ(nested_sum.load(), n);
-}
-
-TEST(ParallelForChunksTest, SingleElementRange) {
-  ThreadPool pool(3);
-  int hits = 0;
-  ParallelForChunks(&pool, 7, 8, [&](size_t begin, size_t end) {
-    EXPECT_EQ(begin, 7u);
-    EXPECT_EQ(end, 8u);
-    ++hits;
-  });
-  EXPECT_EQ(hits, 1);
-}
-
-TEST(ParallelForChunksTest, EmptyAndInvertedRangesAreNoops) {
-  ThreadPool pool(2);
-  bool called = false;
-  ParallelForChunks(&pool, 4, 4, [&](size_t, size_t) { called = true; });
-  ParallelForChunks(&pool, 9, 3, [&](size_t, size_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 TEST(ParallelContextTest, SerialContextHasNoPool) {

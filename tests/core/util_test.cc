@@ -5,6 +5,7 @@
 
 #include "core/bitset.h"
 #include "core/distance.h"
+#include "core/parallel.h"
 #include "core/stats.h"
 #include "core/string_util.h"
 #include "core/thread_pool.h"
@@ -180,28 +181,10 @@ TEST(ThreadPoolTest, WaitIsReusable) {
   EXPECT_EQ(counter.load(), 2);
 }
 
-TEST(ThreadPoolTest, ParallelForChunksCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(50);
-  ParallelForChunks(&pool, 0, 50, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForChunksSerialFallback) {
-  std::vector<int> hits(10, 0);
-  ParallelForChunks(nullptr, 0, 10, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) ++hits[i];
-  });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
 TEST(ThreadPoolTest, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
+  ParallelContext ctx(2);
   bool called = false;
-  ParallelForChunks(&pool, 5, 5,
-                    [&](size_t, size_t) { called = true; });
+  ctx.ForEachChunk(0, [&](size_t, size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 

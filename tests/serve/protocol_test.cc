@@ -7,6 +7,7 @@
 // layers must turn them into error responses while staying alive.
 #include "serve/protocol.h"
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -409,6 +410,32 @@ TEST_F(ServeServerTest, HandleFramesPreservesOrderAroundFailures) {
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third.value().id, 3u);
   EXPECT_EQ(third.value().status, 0u);
+}
+
+/// Process peak resident set size in KiB (Linux ru_maxrss unit).
+long PeakRssKib() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST_F(ServeServerTest, HostileBasketItemsDoNotSizeTheRuleBitset) {
+  Server server(bundle(), ServeOptions{});
+  const std::vector<std::byte> clean = server.HandleFrame(EncodeRequestFrame(
+      testutil::MakeRecommendRequest(21, 4, {{2, 5, 9}, {1, 3}})));
+  auto decoded = DecodeResponseFrame(clean);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded.value().status, 0u);
+  ASSERT_EQ(decoded.value().recommendations.size(), 2u);
+  // Item ids far above every rule item can match no rule, so the answer
+  // must not change — and must not cost a bit per possible item id.
+  const long rss_before = PeakRssKib();
+  const std::vector<std::byte> hostile =
+      server.HandleFrame(EncodeRequestFrame(testutil::MakeRecommendRequest(
+          21, 4, {{2, 5, 9, 0xFFFFFFFFu}, {0xFFFFFFFEu, 1, 3}})));
+  const long rss_growth_kib = PeakRssKib() - rss_before;
+  EXPECT_EQ(hostile, clean);
+  EXPECT_LT(rss_growth_kib, 64 * 1024);
 }
 
 // -------------------------------------------------- stream robustness

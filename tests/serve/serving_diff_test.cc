@@ -6,7 +6,9 @@
 // serve/hist/batch_size), which describe the batching itself. Two waves
 // of traffic with repeated baskets make the second wave hit the cache,
 // so the cached fast path is covered by the same bit-identity check
-// (and once more with verify_cache_hits recomputing every hit).
+// (and once more with verify_cache_hits recomputing every hit). The
+// async front door, BatchQueue, runs the same Server::Process, so it is
+// held to the same response bytes and work counters.
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -16,6 +18,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "serve/batch_queue.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "test_bundle.h"
@@ -119,6 +122,29 @@ struct RunResult {
   }
 };
 
+/// Reads the registry's serve/* state into `result`.
+void SnapshotRegistry(RunResult* result) {
+  for (const auto& [name, value] :
+       obs::Registry::Global().CounterSnapshot()) {
+    if (name.rfind("serve/", 0) != 0) continue;
+    if (name == "serve/batches") continue;
+    result->counters.emplace_back(name, value);
+  }
+  for (const obs::HistogramData& hist :
+       obs::Registry::Global().HistogramSnapshot()) {
+    // Batch shape, like serve/batches: excluded from the work shapes.
+    if (hist.name == "serve/hist/batch_size") continue;
+    if (hist.name.rfind("serve/hist/", 0) == 0) {
+      result->work_histograms.emplace_back(hist.name, hist.count, hist.sum,
+                                           hist.buckets);
+    } else if (hist.name == "serve/latency/eval_us") {
+      result->eval_batches = hist.count;
+    } else if (hist.name.rfind("serve/latency/", 0) == 0) {
+      result->latency_counts.emplace_back(hist.name, hist.count);
+    }
+  }
+}
+
 RunResult RunConfig(std::shared_ptr<const ModelBundle> bundle,
                     const Workload& load, uint32_t batch_size,
                     size_t num_threads, size_t cache_capacity,
@@ -140,25 +166,38 @@ RunResult RunConfig(std::shared_ptr<const ModelBundle> bundle,
   for (auto& frame : server.HandleFrames(load.wave2)) {
     result.responses.push_back(std::move(frame));
   }
-  for (const auto& [name, value] :
-       obs::Registry::Global().CounterSnapshot()) {
-    if (name.rfind("serve/", 0) != 0) continue;
-    if (name == "serve/batches") continue;
-    result.counters.emplace_back(name, value);
-  }
-  for (const obs::HistogramData& hist :
-       obs::Registry::Global().HistogramSnapshot()) {
-    // Batch shape, like serve/batches: excluded from the work shapes.
-    if (hist.name == "serve/hist/batch_size") continue;
-    if (hist.name.rfind("serve/hist/", 0) == 0) {
-      result.work_histograms.emplace_back(hist.name, hist.count, hist.sum,
-                                          hist.buckets);
-    } else if (hist.name == "serve/latency/eval_us") {
-      result.eval_batches = hist.count;
-    } else if (hist.name.rfind("serve/latency/", 0) == 0) {
-      result.latency_counts.emplace_back(hist.name, hist.count);
+  SnapshotRegistry(&result);
+  return result;
+}
+
+/// The async front door: both waves submitted through one BatchQueue,
+/// with a Flush() between them; responses land by submit index.
+RunResult RunQueued(std::shared_ptr<const ModelBundle> bundle,
+                    const Workload& load, uint32_t batch_size,
+                    size_t num_threads, size_t cache_capacity) {
+  obs::Registry::Global().Reset();
+  ServeOptions options;
+  options.batch_size = batch_size;
+  options.num_threads = num_threads;
+  options.cache_capacity = cache_capacity;
+  Server server(std::move(bundle), options);
+
+  RunResult result;
+  result.responses.resize(load.wave1.size() + load.wave2.size());
+  {
+    BatchQueue queue(&server);
+    size_t index = 0;
+    for (const Frames* wave : {&load.wave1, &load.wave2}) {
+      for (const std::vector<std::byte>& frame : *wave) {
+        std::vector<std::byte>* slot = &result.responses[index++];
+        queue.Submit(frame, [slot](std::vector<std::byte> response) {
+          *slot = std::move(response);
+        });
+      }
+      queue.Flush();
     }
   }
+  SnapshotRegistry(&result);
   return result;
 }
 
@@ -342,6 +381,56 @@ TEST(ServingDiffTest, SingleFrameMatchesBatchedPath) {
       RunConfig(bundle, load, /*batch_size=*/64, /*threads=*/2, /*cache=*/0);
   for (size_t i = 0; i < one_by_one.size(); ++i) {
     EXPECT_EQ(one_by_one[i], batched.responses[i]) << "request " << i;
+  }
+}
+
+TEST(ServingDiffTest, BatchQueueMatchesHandleFrames) {
+  auto bundle = testutil::MakeTestBundle();
+  Workload load = MakeWorkload(*bundle);
+  const uint64_t frames = load.wave1.size() + load.wave2.size();
+
+  const RunResult sync_off =
+      RunConfig(bundle, load, /*batch_size=*/1, /*threads=*/0, /*cache=*/0);
+  const RunResult sync_on =
+      RunConfig(bundle, load, /*batch_size=*/1, /*threads=*/0,
+                /*cache=*/64);
+
+  for (uint32_t batch_size : {1u, 8u, 64u}) {
+    for (size_t threads : {size_t{0}, size_t{2}, size_t{7}}) {
+      for (size_t cache : {size_t{0}, size_t{64}}) {
+        SCOPED_TRACE(ConfigName(batch_size, threads, cache));
+        RunResult run = RunQueued(bundle, load, batch_size, threads, cache);
+        const RunResult& sync = cache == 0 ? sync_off : sync_on;
+        ASSERT_EQ(run.responses.size(), sync.responses.size());
+        for (size_t i = 0; i < run.responses.size(); ++i) {
+          ASSERT_EQ(run.responses[i], sync.responses[i])
+              << "queued response divergence at request " << i;
+        }
+        for (const char* name :
+             {"serve/requests", "serve/errors", "serve/records_classified",
+              "serve/points_assigned"}) {
+          EXPECT_EQ(run.Counter(name), sync.Counter(name)) << name;
+        }
+        if (cache == 0) {
+          // Without a cache nothing is timing-dependent: every counter
+          // but the batch-shape ones matches the sync run.
+          EXPECT_EQ(run.counters, sync.counters);
+          EXPECT_EQ(run.work_histograms, sync.work_histograms);
+        } else {
+          // Which lookups hit depends on batch timing; that every
+          // basket is looked up exactly once does not.
+          EXPECT_EQ(run.Counter("serve/cache_hits") +
+                        run.Counter("serve/cache_misses"),
+                    run.Counter("serve/cache_lookups"));
+          EXPECT_EQ(run.Counter("serve/cache_lookups"), load.total_baskets);
+        }
+        uint64_t total_samples = 0;
+        for (const auto& [name, count] : run.latency_counts) {
+          if (name == "serve/latency/total_us") total_samples = count;
+        }
+        EXPECT_EQ(total_samples, frames);
+      }
+    }
   }
 }
 

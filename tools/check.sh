@@ -140,12 +140,14 @@ UBSAN_TARGETS=(
   obs_histogram_test
   io_corruption_test
   serve_protocol_test
+  serving_diff_test
 )
 cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target "${UBSAN_TARGETS[@]}"
 export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # The differential batteries drive every parallel kernel, including the
-# concurrent-call cases; the metrics, io and protocol tests cover the
-# bucket arithmetic and the byte-level decoders of untrusted input.
+# concurrent-call cases, and both serving front doors through their one
+# orchestration; the metrics, io and protocol tests cover the bucket
+# arithmetic and the byte-level decoders of untrusted input.
 "$ROOT/build-ubsan/tests/assoc/assoc_parallel_diff_test"
 "$ROOT/build-ubsan/tests/cluster/cluster_parallel_diff_test"
 "$ROOT/build-ubsan/tests/seq/seq_parallel_diff_test"
@@ -154,6 +156,7 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ROOT/build-ubsan/tests/obs/obs_histogram_test"
 "$ROOT/build-ubsan/tests/io/io_corruption_test"
 "$ROOT/build-ubsan/tests/serve/serve_protocol_test"
+"$ROOT/build-ubsan/tests/serve/serving_diff_test"
 
 echo
 echo "== tier 3: bench smoke (tiny configs, --json must parse) =="
@@ -165,8 +168,7 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 # written a parseable record with a non-empty runs array; every listed
 # counter must be present in every run.
 json_check() {
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$@" <<'PY'
+  python3 - "$@" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
     record = json.load(f)
@@ -180,11 +182,6 @@ for run in record["runs"]:
         assert counter in run["counters"], f"missing counter {counter!r}"
 print(f"  {sys.argv[1]}: {record['bench']}, {len(record['runs'])} run(s) ok")
 PY
-  else
-    # Fallback: at least require the expected top-level keys.
-    grep -q '"bench"' "$1" && grep -q '"runs"' "$1"
-    echo "  $1: keys present (python3 unavailable, skipped full parse)"
-  fi
 }
 
 # Smallest meaningful cases: one Lloyd k-means point, the BIRCH quality
@@ -268,8 +265,7 @@ echo "== tier 3b: DMT_TRACE smoke (one bench per family, trace must parse) =="
 # Chrome trace_event file with at least one complete event and a
 # dmtCounters section containing the family's registry counters.
 trace_check() {
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$@" <<'PY'
+  python3 - "$@" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
     trace = json.load(f)
@@ -285,10 +281,6 @@ assert trace["dmtDroppedEvents"] == 0, "trace dropped events"
 print(f"  {sys.argv[1]}: {len(events)} event(s), "
       f"{len(matching)} {prefix}* counter(s) ok")
 PY
-  else
-    grep -q '"traceEvents"' "$1" && grep -q '"dmtCounters"' "$1"
-    echo "  $1: keys present (python3 unavailable, skipped full parse)"
-  fi
 }
 
 DMT_TRACE="$SMOKE_DIR/trace_assoc.json" "$BENCH_DIR/bench_assoc_minsup" \
@@ -401,8 +393,7 @@ echo "== tier 4b: dmtd metrics exposition (--metrics-path + slow-query log) =="
 grep -q 'slow query: id=5 type=recommend' "$SMOKE_DIR/metrics_err.txt"
 test "$(grep -c 'slow query: ' "$SMOKE_DIR/metrics_err.txt")" -ge 1
 metrics_check() {
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$1" <<'PY'
+  python3 - "$1" <<'PY'
 import re, sys
 text = open(sys.argv[1]).read()
 hists = {}   # name -> list of (le, cumulative)
@@ -444,10 +435,6 @@ assert counts.get("dmt_serve_hist_basket_items", 0) > 0
 print(f"  {sys.argv[1]}: {len(hists)} histogram(s) consistent, "
       f"{len(types)} metric(s) ok")
 PY
-  else
-    grep -q '_bucket{le="+Inf"}' "$1"
-    echo "  $1: keys present (python3 unavailable, skipped full parse)"
-  fi
 }
 metrics_check "$SMOKE_DIR/metrics.prom"
 echo "  metrics exposition: slow-query log + Prometheus dump ok"
