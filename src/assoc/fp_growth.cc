@@ -1,6 +1,7 @@
 #include "assoc/fp_growth.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -18,14 +19,15 @@ namespace {
 /// FP-tree node; nodes live in one flat arena, links are indices. Nodes
 /// carry the *header position* of their item (the item itself is
 /// header[pos].item), so conditional-base recounting and position
-/// remapping index flat arrays instead of hash maps.
+/// remapping index flat arrays instead of hash maps. Children form an
+/// intrusive sibling list, so a node owns no heap memory.
 struct FpNode {
   uint32_t pos = 0;
   uint32_t count = 0;
   uint32_t parent = kNull;
   uint32_t node_link = kNull;  // next node carrying the same item
-  // (pos, node index) pairs; branching factors are small, linear search.
-  std::vector<std::pair<uint32_t, uint32_t>> children;
+  uint32_t first_child = kNull;
+  uint32_t next_sibling = kNull;
 
   static constexpr uint32_t kNull = 0xffffffffu;
 };
@@ -44,58 +46,103 @@ struct FpTree {
 
   FpTree() { nodes.emplace_back(); }
 
-  uint32_t AddChild(uint32_t parent, uint32_t pos) {
-    for (auto& [child_pos, child_index] : nodes[parent].children) {
-      if (child_pos == pos) return child_index;
-    }
-    uint32_t index = static_cast<uint32_t>(nodes.size());
-    FpNode node;
-    node.pos = pos;
-    node.parent = parent;
-    nodes.push_back(node);
-    nodes[parent].children.emplace_back(pos, index);
-    return index;
-  }
-
-  /// Inserts one (already ordered, filtered) path with a count, wiring
-  /// node links through `link_tail` (per header position).
-  void InsertPath(std::span<const uint32_t> header_positions, uint32_t count,
-                  std::vector<uint32_t>* link_tails) {
-    uint32_t current = 0;
-    for (uint32_t pos : header_positions) {
-      uint32_t before = static_cast<uint32_t>(nodes.size());
-      uint32_t child = AddChild(current, pos);
-      if (child >= before) {
-        // Fresh node: append to the item's node-link chain.
-        if ((*link_tails)[pos] == FpNode::kNull) {
-          header[pos].link_head = child;
-        } else {
-          nodes[(*link_tails)[pos]].node_link = child;
-        }
-        (*link_tails)[pos] = child;
-      }
-      nodes[child].count += count;
-      current = child;
-    }
-  }
-
   /// True when the tree consists of a single chain below the root.
   bool IsSinglePath() const {
-    uint32_t current = 0;
-    while (true) {
-      const auto& children = nodes[current].children;
-      if (children.empty()) return true;
-      if (children.size() > 1) return false;
-      current = children[0].second;
+    for (uint32_t child = nodes[0].first_child; child != FpNode::kNull;
+         child = nodes[child].first_child) {
+      if (nodes[child].next_sibling != FpNode::kNull) return false;
     }
+    return true;
   }
 };
 
-/// One weighted path of a conditional pattern base, as positions into the
-/// parent tree's header (root-to-node order after the reverse).
-struct WeightedPath {
+/// Weighted paths stored flat: path i is positions[offsets[i],
+/// offsets[i + 1]) and occurs counts[i] times.
+struct PathSet {
   std::vector<uint32_t> positions;
-  uint32_t count = 0;
+  std::vector<uint32_t> offsets{0};
+  std::vector<uint32_t> counts;
+
+  size_t size() const { return counts.size(); }
+
+  std::span<const uint32_t> Path(size_t i) const {
+    return {positions.data() + offsets[i], positions.data() + offsets[i + 1]};
+  }
+
+  void Clear() {
+    positions.clear();
+    offsets.assign(1, 0);
+    counts.clear();
+  }
+
+  /// Closes the path appended to `positions` since the last call; an
+  /// empty one is dropped (it adds no node).
+  void EndPath(uint32_t count) {
+    if (positions.size() == offsets.back()) return;
+    offsets.push_back(static_cast<uint32_t>(positions.size()));
+    counts.push_back(count);
+  }
+};
+
+/// Builds an FP-tree's nodes from weighted paths of positions into its
+/// (already filled) header, each path ascending. The root tree and every
+/// conditional tree go through here. A trie is canonical — its node set
+/// does not depend on insertion order — so the paths are inserted in
+/// lexicographic order, where each one shares its longest common prefix
+/// with the previous path and appends only the nodes below it: no child
+/// search, no per-node allocation. Scratch is reused across builds.
+class TreeBuilder {
+ public:
+  void Build(const PathSet& paths, FpTree* tree) {
+    order_.resize(paths.size());
+    for (uint32_t i = 0; i < order_.size(); ++i) order_[i] = i;
+    std::sort(order_.begin(), order_.end(), [&paths](uint32_t a, uint32_t b) {
+      auto pa = paths.Path(a);
+      auto pb = paths.Path(b);
+      return std::lexicographical_compare(pa.begin(), pa.end(), pb.begin(),
+                                          pb.end());
+    });
+    std::vector<FpNode>& nodes = tree->nodes;
+    nodes.reserve(nodes.size() + paths.positions.size());
+    link_tails_.assign(tree->header.size(), FpNode::kNull);
+    spine_.clear();  // spine_[d]: the previous path's node at depth d + 1
+    for (uint32_t i : order_) {
+      std::span<const uint32_t> path = paths.Path(i);
+      const uint32_t count = paths.counts[i];
+      size_t common = 0;
+      while (common < spine_.size() && common < path.size() &&
+             nodes[spine_[common]].pos == path[common]) {
+        nodes[spine_[common]].count += count;
+        ++common;
+      }
+      spine_.resize(common);
+      for (size_t d = common; d < path.size(); ++d) {
+        const uint32_t parent = d == 0 ? 0 : spine_[d - 1];
+        const uint32_t index = static_cast<uint32_t>(nodes.size());
+        FpNode node;
+        node.pos = path[d];
+        node.count = count;
+        node.parent = parent;
+        node.next_sibling = nodes[parent].first_child;
+        nodes.push_back(node);
+        nodes[parent].first_child = index;
+        // Append to the item's node-link chain.
+        uint32_t& tail = link_tails_[node.pos];
+        if (tail == FpNode::kNull) {
+          tree->header[node.pos].link_head = index;
+        } else {
+          nodes[tail].node_link = index;
+        }
+        tail = index;
+        spine_.push_back(index);
+      }
+    }
+  }
+
+ private:
+  std::vector<uint32_t> order_;
+  std::vector<uint32_t> spine_;
+  std::vector<uint32_t> link_tails_;
 };
 
 class FpMiner {
@@ -129,22 +176,19 @@ class FpMiner {
     if (max_size_ != 0 && pattern.size() >= max_size_) return;
 
     // Conditional pattern base: prefix paths of every node of this item,
-    // recorded as positions into `tree`'s header.
-    std::vector<WeightedPath> base;
+    // recorded as positions into `tree`'s header (node-to-root order; the
+    // conditional build re-sorts each path after remapping anyway).
+    base_.Clear();
     for (uint32_t node = entry.link_head; node != FpNode::kNull;
          node = tree.nodes[node].node_link) {
-      WeightedPath path;
-      path.count = tree.nodes[node].count;
       for (uint32_t up = tree.nodes[node].parent; up != 0;
            up = tree.nodes[up].parent) {
-        path.positions.push_back(tree.nodes[up].pos);
+        base_.positions.push_back(tree.nodes[up].pos);
       }
-      if (path.positions.empty()) continue;
-      std::reverse(path.positions.begin(), path.positions.end());
-      base.push_back(std::move(path));
+      base_.EndPath(tree.nodes[node].count);
     }
-    if (base.empty()) return;
-    FpTree conditional = BuildConditionalTree(base, tree);
+    if (base_.size() == 0) return;
+    FpTree conditional = BuildConditionalTree(base_, tree);
     if (conditional.header.empty()) return;
     if (single_path_opt_ && conditional.IsSinglePath()) {
       EmitSinglePathCombinations(conditional, pattern);
@@ -159,11 +203,10 @@ class FpMiner {
   /// whose deepest member it is).
   void EmitSinglePathCombinations(const FpTree& tree, const Itemset& suffix) {
     std::vector<std::pair<ItemId, uint32_t>> path;  // (item, count)
-    uint32_t current = 0;
-    while (!tree.nodes[current].children.empty()) {
-      current = tree.nodes[current].children[0].second;
-      path.emplace_back(tree.header[tree.nodes[current].pos].item,
-                        tree.nodes[current].count);
+    for (uint32_t node = tree.nodes[0].first_child; node != FpNode::kNull;
+         node = tree.nodes[node].first_child) {
+      path.emplace_back(tree.header[tree.nodes[node].pos].item,
+                        tree.nodes[node].count);
     }
     if (path.size() > 30) {
       // Too many combinations to enumerate directly; recurse instead.
@@ -209,18 +252,20 @@ class FpMiner {
     for (uint32_t pos = 0; pos < tree.header.size(); ++pos) {
       item_to_pos[tree.header[pos].item] = pos;
     }
-    std::vector<uint32_t> link_tails(tree.header.size(), FpNode::kNull);
-    std::vector<uint32_t> positions;
+    PathSet paths;
+    paths.offsets.reserve(db.size() + 1);
+    paths.counts.reserve(db.size());
     for (size_t t = 0; t < db.size(); ++t) {
-      positions.clear();
+      const size_t begin = paths.positions.size();
       for (ItemId item : db.transaction(t)) {
         if (item_to_pos[item] != FpNode::kNull) {
-          positions.push_back(item_to_pos[item]);
+          paths.positions.push_back(item_to_pos[item]);
         }
       }
-      std::sort(positions.begin(), positions.end());
-      tree.InsertPath(positions, 1, &link_tails);
+      std::sort(paths.positions.begin() + begin, paths.positions.end());
+      paths.EndPath(1);
     }
+    TreeBuilder().Build(paths, &tree);
     return tree;
   }
 
@@ -232,12 +277,11 @@ class FpMiner {
   /// Projects a conditional tree from `base`. Every position in `base`
   /// indexes `parent`'s header, so the recount and the parent-to-child
   /// position remap are flat arrays over the parent header size.
-  FpTree BuildConditionalTree(const std::vector<WeightedPath>& base,
-                              const FpTree& parent) {
+  FpTree BuildConditionalTree(const PathSet& base, const FpTree& parent) {
     const size_t parent_size = parent.header.size();
     base_counts_.assign(parent_size, 0);
-    for (const auto& path : base) {
-      for (uint32_t pos : path.positions) base_counts_[pos] += path.count;
+    for (size_t i = 0; i < base.size(); ++i) {
+      for (uint32_t pos : base.Path(i)) base_counts_[pos] += base.counts[i];
     }
     // Surviving (parent position, count) pairs, ordered by descending
     // count with ties by ascending item id.
@@ -263,18 +307,18 @@ class FpMiner {
     }
     ++result_->conditional_trees_built;
     if (tree.header.empty()) return tree;
-    std::vector<uint32_t> link_tails(tree.header.size(), FpNode::kNull);
-    std::vector<uint32_t> positions;
-    for (const auto& path : base) {
-      positions.clear();
-      for (uint32_t pos : path.positions) {
+    paths_.Clear();
+    for (size_t i = 0; i < base.size(); ++i) {
+      const size_t begin = paths_.positions.size();
+      for (uint32_t pos : base.Path(i)) {
         if (pos_map_[pos] != FpNode::kNull) {
-          positions.push_back(pos_map_[pos]);
+          paths_.positions.push_back(pos_map_[pos]);
         }
       }
-      std::sort(positions.begin(), positions.end());
-      tree.InsertPath(positions, path.count, &link_tails);
+      std::sort(paths_.positions.begin() + begin, paths_.positions.end());
+      paths_.EndPath(base.counts[i]);
     }
+    builder_.Build(paths_, &tree);
     result_->fp_nodes_allocated += tree.nodes.size() - 1;
     return tree;
   }
@@ -283,10 +327,14 @@ class FpMiner {
   size_t max_size_;
   bool single_path_opt_;
   MiningResult* result_;
-  // Flat per-parent-header scratch, reused across BuildConditionalTree
-  // calls (each call completes before its tree is recursed into).
+  // Scratch reused across MineEntry / BuildConditionalTree calls (each
+  // conditional tree is built before it is recursed into): the pattern
+  // base, its per-parent-header recount and remap, and the remapped paths.
+  PathSet base_;
   std::vector<uint32_t> base_counts_;
   std::vector<uint32_t> pos_map_;
+  PathSet paths_;
+  TreeBuilder builder_;
 };
 
 }  // namespace

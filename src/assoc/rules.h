@@ -1,6 +1,12 @@
-// Association rule generation from frequent itemsets (the ap-genrules
-// procedure of VLDB'94 §3): consequents grow apriori-style, exploiting the
-// anti-monotonicity of confidence in the consequent.
+// Association rule generation from frequent itemsets, emitting exactly the
+// rule set of the ap-genrules procedure of VLDB'94 §3. Per itemset, the
+// consequents are 64-bit masks over the itemset's positions, grown
+// depth-first in increasing position order; a consequent below the
+// confidence bar is not extended. Confidence is anti-monotone in the
+// consequent (also in the computed doubles), so every passing consequent
+// is reached through its passing prefixes. Antecedent and consequent
+// supports come from an index probed with (itemset, mask), so only the
+// emitted rules allocate.
 #ifndef DMT_ASSOC_RULES_H_
 #define DMT_ASSOC_RULES_H_
 
@@ -53,7 +59,11 @@ struct RuleParams {
 /// Generates all rules meeting the thresholds from a mining result.
 /// `num_transactions` is |D| of the mined database (for support/lift).
 /// Rules come out sorted by descending confidence, then descending lift,
-/// then canonically by antecedent/consequent.
+/// then canonically by antecedent/consequent. Returns InvalidArgument,
+/// before generating any rule, when an itemset has 64 or more items or
+/// when the result is not downward-closed: some itemset lacks one of its
+/// immediate subsets (e.g. FilterMaximal / FilterClosed output) or has
+/// more support than one of them.
 core::Result<std::vector<AssociationRule>> GenerateRules(
     const MiningResult& mining, size_t num_transactions,
     const RuleParams& params);

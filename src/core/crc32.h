@@ -1,6 +1,7 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over byte ranges — the
 // integrity check of the binary container format. Incremental: feed the
 // previous return value back as `seed` to checksum discontiguous ranges.
+// Table-driven slicing-by-8: eight bytes per step, a byte-wise tail.
 #ifndef DMT_CORE_CRC32_H_
 #define DMT_CORE_CRC32_H_
 

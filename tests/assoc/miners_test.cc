@@ -440,6 +440,67 @@ TEST(MinerPropertiesTest, PatternGrowthWorkCountersAreConsistent) {
   EXPECT_EQ(apriori->tidset_intersections, 0u);
 }
 
+/// Pinned FP-growth work on one fixed draw: the exact tree and node
+/// tallies of the trie construction, so a change to how the trees are
+/// built must still build the same trees with the same node counts.
+struct FpWorkPin {
+  size_t itemsets;
+  uint64_t conditional_trees_built;
+  uint64_t fp_nodes_allocated;
+};
+
+void ExpectFpWork(const TransactionDatabase& db, MiningParams params,
+                  const FpGrowthOptions& options, const FpWorkPin& pin) {
+  for (size_t threads : {0u, 4u}) {
+    params.num_threads = threads;
+    auto result = MineFpGrowth(db, params, options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->itemsets.size(), pin.itemsets)
+        << "threads=" << threads;
+    EXPECT_EQ(result->conditional_trees_built, pin.conditional_trees_built)
+        << "threads=" << threads;
+    EXPECT_EQ(result->fp_nodes_allocated, pin.fp_nodes_allocated)
+        << "threads=" << threads;
+  }
+}
+
+TEST(MinerPropertiesTest, FpGrowthWorkCountersPinnedOnQuestDraw) {
+  gen::QuestParams quest;
+  quest.num_transactions = 2000;
+  quest.avg_transaction_size = 8.0;
+  quest.avg_pattern_size = 4.0;
+  quest.num_items = 120;
+  quest.num_patterns = 40;
+  auto db = gen::GenerateQuestTransactions(quest, 19);
+  ASSERT_TRUE(db.ok());
+  MiningParams params;
+  params.min_support = 0.01;
+  FpGrowthOptions naive;
+  naive.single_path_optimization = false;
+  ExpectFpWork(*db, params, {}, {9193, 4241, 32605});
+  ExpectFpWork(*db, params, naive, {9193, 4788, 33234});
+  params.max_itemset_size = 3;
+  ExpectFpWork(*db, params, {}, {2616, 667, 23316});
+}
+
+TEST(MinerPropertiesTest, FpGrowthWorkCountersPinnedOnSingleChain) {
+  // Transactions {0}, {0,1}, ..., {0..9}: the root tree is one chain of
+  // ten nodes, so the fast path emits all 2^10 - 1 combinations with no
+  // conditional tree, while the naive recursion projects one per suffix.
+  TransactionDatabase db;
+  for (ItemId last = 0; last < 10; ++last) {
+    std::vector<ItemId> items;
+    for (ItemId item = 0; item <= last; ++item) items.push_back(item);
+    db.Add(items);
+  }
+  MiningParams params;
+  params.min_support = 0.1;
+  FpGrowthOptions naive;
+  naive.single_path_optimization = false;
+  ExpectFpWork(db, params, {}, {1023, 0, 10});
+  ExpectFpWork(db, params, naive, {1023, 511, 1023});
+}
+
 TEST(MinerPropertiesTest, AprioriPassStatsConsistent) {
   TransactionDatabase db = RandomDatabase(23, 100, 10, 0.4);
   MiningParams params;

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <limits>
+#include <map>
 
 #include "assoc/apriori.h"
+#include "assoc/postprocess.h"
 #include "core/rng.h"
+#include "gen/quest.h"
 
 namespace dmt::assoc {
 namespace {
@@ -301,6 +306,177 @@ TEST(RulesTest, ConvictionAboveOneForPositivelyCorrelatedRules) {
   ASSERT_FALSE(rules->empty());
   for (const auto& rule : *rules) {
     EXPECT_GT(rule.conviction, 1.0) << FormatRule(rule);
+  }
+}
+
+TEST(RulesTest, RejectsResultThatIsNotDownwardClosed) {
+  // {1}, {2}, {1,2}, {3} is closed; its maximal filter {1,2}, {3} is not:
+  // the antecedent {1} of {1} => {2} has no support to divide by.
+  MiningResult mining;
+  mining.itemsets = {{{1}, 4}, {{2}, 4}, {{1, 2}, 3}, {{3}, 2}};
+  RuleParams params;
+  ASSERT_TRUE(GenerateRules(mining, 10, params).ok());
+  MiningResult maximal;
+  maximal.itemsets = FilterMaximal(mining.itemsets);
+  ASSERT_EQ(maximal.itemsets.size(), 2u);
+  auto rules = GenerateRules(maximal, 10, params);
+  ASSERT_FALSE(rules.ok());
+  EXPECT_EQ(rules.status().code(), core::StatusCode::kInvalidArgument);
+  // The closed filter keeps {1,2,3} but drops {1,3} and {2,3}, which
+  // share its support: {1,2} => {3} loses nothing, {2} => {1,3} does.
+  MiningResult with_triple;
+  with_triple.itemsets = {{{1}, 4},    {{2}, 4},    {{3}, 2},
+                          {{1, 2}, 3}, {{1, 3}, 2}, {{2, 3}, 2},
+                          {{1, 2, 3}, 2}};
+  ASSERT_TRUE(GenerateRules(with_triple, 10, params).ok());
+  MiningResult closed;
+  closed.itemsets = FilterClosed(with_triple.itemsets);
+  ASSERT_LT(closed.itemsets.size(), with_triple.itemsets.size());
+  auto closed_rules = GenerateRules(closed, 10, params);
+  ASSERT_FALSE(closed_rules.ok());
+  EXPECT_EQ(closed_rules.status().code(),
+            core::StatusCode::kInvalidArgument);
+}
+
+TEST(RulesTest, RejectsSupersetSupportedAboveItsSubset) {
+  // Every subset is present, but {1,2} claims more support than {1}: no
+  // database yields that, and the rule {1} => {2} would have confidence 2.
+  MiningResult mining;
+  mining.itemsets = {{{1}, 2}, {{2}, 4}, {{1, 2}, 3}};
+  auto rules = GenerateRules(mining, 10, RuleParams{});
+  ASSERT_FALSE(rules.ok());
+  EXPECT_EQ(rules.status().code(), core::StatusCode::kInvalidArgument);
+}
+
+TEST(RulesTest, RejectsItemsetOfSixtyFourItems) {
+  MiningResult mining;
+  Itemset wide;
+  for (ItemId item = 0; item < 64; ++item) wide.push_back(item);
+  mining.itemsets.push_back({wide, 1});
+  auto rules = GenerateRules(mining, 10, RuleParams{});
+  ASSERT_FALSE(rules.ok());
+  EXPECT_EQ(rules.status().code(), core::StatusCode::kInvalidArgument);
+}
+
+/// Reference rule generator: every non-empty proper consequent of every
+/// itemset, scored with the documented formulas and filtered with the
+/// accept-lenient +1e-12 convention, then sorted like GenerateRules.
+std::vector<AssociationRule> BruteForceRules(const MiningResult& mining,
+                                             size_t num_transactions,
+                                             const RuleParams& params) {
+  std::map<Itemset, uint32_t> supports;
+  for (const auto& itemset : mining.itemsets) {
+    supports[itemset.items] = itemset.support;
+  }
+  const double n = static_cast<double>(num_transactions);
+  std::vector<AssociationRule> rules;
+  for (const auto& itemset : mining.itemsets) {
+    const size_t k = itemset.items.size();
+    if (k < 2) continue;
+    for (uint64_t mask = 1; mask + 1 < (uint64_t{1} << k); ++mask) {
+      Itemset antecedent, consequent;
+      for (size_t i = 0; i < k; ++i) {
+        ((mask >> i) & 1 ? consequent : antecedent)
+            .push_back(itemset.items[i]);
+      }
+      const double antecedent_support = supports.at(antecedent);
+      const double consequent_support = supports.at(consequent);
+      const double confidence = itemset.support / antecedent_support;
+      if (confidence + 1e-12 < params.min_confidence) continue;
+      const double consequent_fraction = consequent_support / n;
+      const double lift = confidence / consequent_fraction;
+      if (lift + 1e-12 < params.min_lift) continue;
+      const double rule_support = itemset.support / n;
+      const double conviction =
+          1.0 - confidence <= 1e-12
+              ? 1e12
+              : (1.0 - consequent_fraction) / (1.0 - confidence);
+      rules.push_back({antecedent, consequent, itemset.support, rule_support,
+                       confidence, lift, conviction,
+                       rule_support -
+                           (antecedent_support / n) * consequent_fraction});
+    }
+  }
+  std::sort(rules.begin(), rules.end(),
+            [](const AssociationRule& a, const AssociationRule& b) {
+              if (a.confidence != b.confidence) {
+                return a.confidence > b.confidence;
+              }
+              if (a.lift != b.lift) return a.lift > b.lift;
+              if (a.antecedent != b.antecedent) {
+                return a.antecedent < b.antecedent;
+              }
+              return a.consequent < b.consequent;
+            });
+  return rules;
+}
+
+void ExpectSameRules(const std::vector<AssociationRule>& actual,
+                     const std::vector<AssociationRule>& expected,
+                     const std::string& label) {
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    const auto& a = actual[i];
+    const auto& e = expected[i];
+    ASSERT_EQ(a.antecedent, e.antecedent) << label << " rule " << i;
+    ASSERT_EQ(a.consequent, e.consequent) << label << " rule " << i;
+    ASSERT_EQ(a.support_count, e.support_count) << label << " rule " << i;
+    // Bit equality: the measures are serialized, so the same inputs must
+    // give the same doubles, not merely close ones.
+    ASSERT_EQ(std::bit_cast<uint64_t>(a.support),
+              std::bit_cast<uint64_t>(e.support)) << label << " rule " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(a.confidence),
+              std::bit_cast<uint64_t>(e.confidence))
+        << label << " rule " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(a.lift), std::bit_cast<uint64_t>(e.lift))
+        << label << " rule " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(a.conviction),
+              std::bit_cast<uint64_t>(e.conviction))
+        << label << " rule " << i;
+    ASSERT_EQ(std::bit_cast<uint64_t>(a.leverage),
+              std::bit_cast<uint64_t>(e.leverage))
+        << label << " rule " << i;
+  }
+}
+
+TEST(RulesTest, MatchesBruteForceOnQuestDatabases) {
+  gen::QuestParams quest;
+  quest.num_transactions = 1000;
+  quest.avg_transaction_size = 6.0;
+  quest.avg_pattern_size = 3.0;
+  quest.num_items = 100;
+  quest.num_patterns = 50;
+  auto db = gen::GenerateQuestTransactions(quest, 13);
+  ASSERT_TRUE(db.ok());
+  for (double min_support : {0.03, 0.015, 0.008}) {
+    MiningResult mining = MineAll(*db, min_support);
+    ASSERT_GT(mining.itemsets.size(), 50u);
+    std::vector<RuleParams> grid;
+    for (double min_confidence : {0.1, 0.5, 0.9, 1.0}) {
+      for (double min_lift : {0.0, 1.0, 1.5}) {
+        grid.push_back({min_confidence, min_lift});
+      }
+    }
+    // Exact-threshold cases: bars set to measures some rules hit exactly,
+    // so the +1e-12 convention decides those rules on both sides.
+    std::vector<AssociationRule> all =
+        BruteForceRules(mining, db->size(), {0.1, 0.0});
+    ASSERT_GT(all.size(), 10u);
+    for (size_t pick : {all.size() / 4, all.size() / 2, all.size() - 1}) {
+      grid.push_back({all[pick].confidence, 0.0});
+      grid.push_back({0.1, all[pick].lift});
+      grid.push_back({all[pick].confidence, all[pick].lift});
+    }
+    for (const RuleParams& params : grid) {
+      const std::string label =
+          "minsup=" + std::to_string(min_support) +
+          " minconf=" + std::to_string(params.min_confidence) +
+          " minlift=" + std::to_string(params.min_lift);
+      auto rules = GenerateRules(mining, db->size(), params);
+      ASSERT_TRUE(rules.ok()) << label;
+      ExpectSameRules(*rules, BruteForceRules(mining, db->size(), params),
+                      label);
+    }
   }
 }
 

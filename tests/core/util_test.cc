@@ -2,8 +2,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/bitset.h"
+#include "core/crc32.h"
 #include "core/distance.h"
 #include "core/parallel.h"
 #include "core/stats.h"
@@ -13,6 +16,54 @@
 
 namespace dmt::core {
 namespace {
+
+/// Byte-at-a-time CRC-32 (reflected polynomial 0xEDB88320), computed
+/// bit by bit: the reference the table-driven Crc32 must reproduce.
+uint32_t ReferenceCrc32(const unsigned char* data, size_t size,
+                        uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(check, std::strlen(check)), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32(std::span<const std::byte>()), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthOffsetAndSplit) {
+  // Every length through two 128-byte spans, at every alignment of the
+  // start, split at every point and chained through `seed`: covers the
+  // 8-byte body, the byte-wise tail, and unaligned loads.
+  std::vector<unsigned char> buffer(257 + 8);
+  uint32_t state = 12345;
+  for (auto& byte : buffer) {
+    state = state * 1103515245u + 12345u;
+    byte = static_cast<unsigned char>(state >> 16);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 257; ++length) {
+      const unsigned char* data = buffer.data() + offset;
+      const uint32_t expected = ReferenceCrc32(data, length, 0);
+      ASSERT_EQ(Crc32(data, length), expected)
+          << "offset=" << offset << " length=" << length;
+      for (size_t split = 0; split <= length; ++split) {
+        uint32_t chained = Crc32(data, split);
+        chained = Crc32(data + split, length - split, chained);
+        ASSERT_EQ(chained, expected) << "offset=" << offset
+                                     << " length=" << length
+                                     << " split=" << split;
+      }
+    }
+  }
+}
 
 TEST(RunningStatsTest, EmptyIsZero) {
   RunningStats stats;

@@ -7,7 +7,8 @@
 # differential and container-corruption tests), then an AddressSanitizer
 # build that re-runs the io corruption battery, then an
 # UndefinedBehaviorSanitizer build of the differential batteries and the
-# decoders of untrusted bytes, then a bench smoke
+# decoders of untrusted bytes (both sanitizer tiers also run the rule
+# generation, miner and CRC-32 tests), then a bench smoke
 # stage that runs the cluster, tree, association, and io benches at a
 # tiny configuration and checks the emitted --json records parse
 # (including the threads / work-counter / partition columns), a
@@ -107,6 +108,9 @@ ASAN_TARGETS=(
   serve_protocol_test
   obs_histogram_test
   obs_expose_test
+  assoc_rules_test
+  assoc_miners_test
+  core_util_test
 )
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target "${ASAN_TARGETS[@]}"
 export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
@@ -122,6 +126,11 @@ export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
 # indexing — run it (and the bucket-boundary sweep) under ASan.
 "$ROOT/build-asan/tests/obs/obs_histogram_test"
 "$ROOT/build-asan/tests/obs/obs_expose_test"
+# Rule generation's position-mask index lookups, the flat FP-tree's node
+# indices, and the CRC-32's unaligned 8-byte loads with byte-wise tails.
+"$ROOT/build-asan/tests/assoc/assoc_rules_test"
+"$ROOT/build-asan/tests/assoc/assoc_miners_test"
+"$ROOT/build-asan/tests/core/core_util_test"
 
 echo
 echo "== tier 2c: UndefinedBehaviorSanitizer build (DMT_SANITIZE=undefined) =="
@@ -141,6 +150,9 @@ UBSAN_TARGETS=(
   io_corruption_test
   serve_protocol_test
   serving_diff_test
+  assoc_rules_test
+  assoc_miners_test
+  core_util_test
 )
 cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target "${UBSAN_TARGETS[@]}"
 export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
@@ -157,6 +169,11 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ROOT/build-ubsan/tests/io/io_corruption_test"
 "$ROOT/build-ubsan/tests/serve/serve_protocol_test"
 "$ROOT/build-ubsan/tests/serve/serving_diff_test"
+# 64-bit position-mask shifts in rule generation, flat node-index
+# arithmetic in the FP-tree build, and the CRC-32's word loads.
+"$ROOT/build-ubsan/tests/assoc/assoc_rules_test"
+"$ROOT/build-ubsan/tests/assoc/assoc_miners_test"
+"$ROOT/build-ubsan/tests/core/core_util_test"
 
 echo
 echo "== tier 3: bench smoke (tiny configs, --json must parse) =="
