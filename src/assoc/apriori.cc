@@ -85,10 +85,10 @@ void CountBySubsetLookup(
 }
 
 /// Pass 2 without materialising C2. Every pair of frequent singles is a
-/// candidate, so supports go into a flat triangular table indexed by the
-/// items' ranks in L1: pair (a < b) sits at a·(2n−a−1)/2 + (b−a−1), which
-/// is also its position in GenerateCandidates' lexicographic output.
-/// Returns the frequent pairs in that order; *num_candidates = |C2|.
+/// candidate, so supports come from the shared triangular pair table over
+/// the items' ranks in L1, whose PairIndex order is also GenerateCandidates'
+/// lexicographic order. Returns the frequent pairs in that order;
+/// *num_candidates = |C2|.
 std::vector<FrequentItemset> CountFrequentPairs(
     const TransactionDatabase& db, const std::vector<FrequentItemset>& singles,
     uint32_t min_count, const core::ParallelContext& ctx,
@@ -96,34 +96,13 @@ std::vector<FrequentItemset> CountFrequentPairs(
   const size_t n = singles.size();
   *num_candidates = n * (n - 1) / 2;
   if (*num_candidates == 0) return {};
-  constexpr uint32_t kInfrequent = UINT32_MAX;
-  std::vector<uint32_t> rank(db.item_universe(), kInfrequent);
+  std::vector<uint32_t> rank(db.item_universe(), kUnranked);
   for (uint32_t r = 0; r < n; ++r) rank[singles[r].items[0]] = r;
 
-  std::vector<uint32_t> counts(*num_candidates, 0);
+  std::vector<uint32_t> counts;
   {
     obs::Span count_span("assoc/apriori/pass/count");
-    core::CountPartitioned(
-        ctx, db.size(), counts,
-        [&](size_t begin, size_t end, std::span<uint32_t> local) {
-          std::vector<uint32_t> ranks;
-          for (size_t t = begin; t < end; ++t) {
-            // Transactions are sorted by item id, so ranks come out sorted.
-            ranks.clear();
-            for (core::ItemId item : db.transaction(t)) {
-              if (rank[item] != kInfrequent) ranks.push_back(rank[item]);
-            }
-            for (size_t i = 0; i + 1 < ranks.size(); ++i) {
-              const size_t a = ranks[i];
-              // Row start minus (a + 1); unsigned wrap-around cancels once
-              // b > a is added back.
-              const size_t row = a * (2 * n - a - 1) / 2 - (a + 1);
-              for (size_t j = i + 1; j < ranks.size(); ++j) {
-                ++local[row + ranks[j]];
-              }
-            }
-          }
-        });
+    counts = CountPairSupports(db, rank, n, ctx);
   }
 
   std::vector<FrequentItemset> frequent;

@@ -1,6 +1,9 @@
 // Eclat frequent-itemset miner (Zaki et al., KDD'97): vertical layout —
 // each itemset carries the set of transaction ids containing it; supports
 // come from tidset intersections in a depth-first equivalence-class walk.
+// The root level reads its pair supports from the triangular pair table
+// Apriori's pass 2 counts (assoc::CountPairSupports), as in Zaki et al.'s
+// original Eclat, so only frequent pairs materialize a tidset.
 // `MiningParams::num_threads` walks the root equivalence classes on a
 // thread pool under the deterministic chunk-merge contract of
 // core::ParallelContext: any thread count reproduces the serial output bit

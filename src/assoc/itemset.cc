@@ -61,6 +61,35 @@ void MinePartitioned(
   }
 }
 
+std::vector<uint32_t> CountPairSupports(const core::TransactionDatabase& db,
+                                        std::span<const uint32_t> rank,
+                                        size_t n,
+                                        const core::ParallelContext& ctx) {
+  std::vector<uint32_t> counts(n * (n - 1) / 2, 0);
+  if (counts.empty()) return counts;
+  core::CountPartitioned(
+      ctx, db.size(), counts,
+      [&](size_t begin, size_t end, std::span<uint32_t> local) {
+        std::vector<uint32_t> ranks;
+        for (size_t t = begin; t < end; ++t) {
+          ranks.clear();
+          for (core::ItemId item : db.transaction(t)) {
+            if (rank[item] != kUnranked) ranks.push_back(rank[item]);
+          }
+          for (size_t i = 0; i + 1 < ranks.size(); ++i) {
+            // Row start minus (a + 1); unsigned wrap-around cancels once
+            // b > a is added back.
+            const size_t a = ranks[i];
+            const size_t row = a * (2 * n - a - 1) / 2 - (a + 1);
+            for (size_t j = i + 1; j < ranks.size(); ++j) {
+              ++local[row + ranks[j]];
+            }
+          }
+        }
+      });
+  return counts;
+}
+
 void SortCanonical(std::vector<FrequentItemset>* itemsets) {
   std::sort(itemsets->begin(), itemsets->end(),
             [](const FrequentItemset& a, const FrequentItemset& b) {

@@ -65,7 +65,9 @@ struct MiningResult {
   /// FP-tree nodes allocated across the root and all conditional trees,
   /// excluding each tree's root sentinel (FP-Growth).
   uint64_t fp_nodes_allocated = 0;
-  /// Tidset intersections probed, materialized or not (Eclat).
+  /// Tidset intersections computed, materialized or not (Eclat). Pair
+  /// supports come from the pair table, so at the pair level only the
+  /// frequent pairs' tidsets count.
   uint64_t tidset_intersections = 0;
   /// On-disk partitions mined by the out-of-core miners (io library; 0
   /// for the in-memory miners). Invariant across thread counts.
@@ -115,6 +117,27 @@ void SortCanonical(std::vector<FrequentItemset>* itemsets);
 void MinePartitioned(
     const core::ParallelContext& ctx, size_t n, MiningResult* result,
     const std::function<void(size_t, size_t, MiningResult*)>& mine_range);
+
+/// Rank of an item the pair table skips.
+inline constexpr uint32_t kUnranked = UINT32_MAX;
+
+/// Position of the pair of ranks (a < b) in a triangular pair table over
+/// n ranks: a·(2n−a−1)/2 + (b−a−1), the pair's lexicographic position.
+inline size_t PairIndex(size_t a, size_t b, size_t n) {
+  return a * (2 * n - a - 1) / 2 + (b - a - 1);
+}
+
+/// Supports of every pair of ranked items in one scan of `db`, as a flat
+/// table of n(n−1)/2 counts indexed by PairIndex. `rank` maps each item id
+/// to its rank in [0, n), or to kUnranked for an item to skip; ranks must
+/// increase with item id, so a sorted transaction yields sorted ranks.
+/// Counted through core::CountPartitioned, so the table is identical at
+/// every thread count. Apriori's pass 2 and Eclat's root level both read
+/// their pair supports from it.
+std::vector<uint32_t> CountPairSupports(const core::TransactionDatabase& db,
+                                        std::span<const uint32_t> rank,
+                                        size_t n,
+                                        const core::ParallelContext& ctx);
 
 /// True if `subset` ⊆ `superset` (both sorted).
 bool IsSubsetOf(std::span<const core::ItemId> subset,

@@ -122,9 +122,97 @@ Status ValidateForRules(const MiningResult& mining,
   return Status::OK();
 }
 
-/// Generates the rules of one itemset. Consequents are position masks
-/// grown depth-first in increasing position order; one that fails the
-/// confidence bar is not extended. Confidence is anti-monotone in the
+/// A generated rule before materialization: its sort key (confidence,
+/// lift, then the lexicographic ranks of antecedent and consequent) and
+/// the mining-result index of the itemset it was generated from.
+struct RuleRecord {
+  double confidence;
+  double lift;
+  uint32_t antecedent_rank;
+  uint32_t consequent_rank;
+  uint32_t itemset;
+};
+
+/// The record indices in rule order: descending confidence, descending
+/// lift, then ascending antecedent and consequent ranks. A stable LSD radix
+/// sort over the confidence bits (positive doubles order as their bit
+/// patterns, inverted here for descending order) does the bulk of the work
+/// without a comparison sort's branch mispredictions; each run of equal
+/// confidence is then sorted by the rest of the key.
+std::vector<uint32_t> SortedOrder(const std::vector<RuleRecord>& records) {
+  struct Keyed {
+    uint64_t key;
+    uint32_t record;
+  };
+  const size_t n = records.size();
+  std::vector<Keyed> keyed(n);
+  for (uint32_t r = 0; r < n; ++r) {
+    keyed[r] = {~std::bit_cast<uint64_t>(records[r].confidence), r};
+  }
+  // 11-bit digits: six passes, and the top one (the sign and exponent of
+  // a confidence in (0, 1]) is usually skipped.
+  constexpr int kDigitBits = 11;
+  constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
+  std::vector<Keyed> scratch(n);
+  std::vector<size_t> starts(kDigitMask + 2);
+  for (int shift = 0; shift < 64; shift += kDigitBits) {
+    std::fill(starts.begin(), starts.end(), 0);
+    for (const Keyed& k : keyed) ++starts[((k.key >> shift) & kDigitMask) + 1];
+    // A digit every key shares leaves the order as it is.
+    if (std::find(starts.begin(), starts.end(), n) != starts.end()) continue;
+    for (size_t d = 1; d < starts.size(); ++d) starts[d] += starts[d - 1];
+    for (const Keyed& k : keyed) {
+      scratch[starts[(k.key >> shift) & kDigitMask]++] = k;
+    }
+    keyed.swap(scratch);
+  }
+  for (size_t begin = 0, end = 0; begin < n; begin = end) {
+    for (end = begin + 1; end < n && keyed[end].key == keyed[begin].key;) {
+      ++end;
+    }
+    std::sort(keyed.begin() + begin, keyed.begin() + end,
+              [&records](const Keyed& x, const Keyed& y) {
+                const RuleRecord& a = records[x.record];
+                const RuleRecord& b = records[y.record];
+                if (a.lift != b.lift) return a.lift > b.lift;
+                if (a.antecedent_rank != b.antecedent_rank) {
+                  return a.antecedent_rank < b.antecedent_rank;
+                }
+                return a.consequent_rank < b.consequent_rank;
+              });
+  }
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = keyed[i].record;
+  return order;
+}
+
+/// Lexicographic ranks of a mining result's itemsets: equal itemsets share
+/// a rank, and by_rank[r] is the first itemset of rank r (the copy
+/// SupportIndex finds).
+struct ItemsetRanks {
+  explicit ItemsetRanks(const std::vector<FrequentItemset>& itemsets) {
+    std::vector<uint32_t> order(itemsets.size());
+    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&itemsets](uint32_t a, uint32_t b) {
+                       return itemsets[a].items < itemsets[b].items;
+                     });
+    rank.resize(itemsets.size());
+    for (size_t k = 0; k < order.size(); ++k) {
+      if (k == 0 || itemsets[order[k - 1]].items != itemsets[order[k]].items) {
+        by_rank.push_back(order[k]);
+      }
+      rank[order[k]] = static_cast<uint32_t>(by_rank.size() - 1);
+    }
+  }
+
+  std::vector<uint32_t> rank;     // itemset index -> rank
+  std::vector<uint32_t> by_rank;  // rank -> first itemset index
+};
+
+/// Generates the rules of one itemset as records. Consequents are position
+/// masks grown depth-first in increasing position order; one that fails
+/// the confidence bar is not extended. Confidence is anti-monotone in the
 /// consequent (a larger consequent leaves a smaller antecedent with at
 /// least its support, and IEEE division and the +1e-12 addition are
 /// monotone), so every passing consequent is reached through its passing
@@ -132,16 +220,20 @@ Status ValidateForRules(const MiningResult& mining,
 /// emission only, never growth, because lift is not anti-monotone.
 class ConsequentWalk {
  public:
-  ConsequentWalk(const SupportIndex& index, const RuleParams& params,
-                 double num_transactions, std::vector<AssociationRule>* rules)
-      : index_(index),
+  ConsequentWalk(const std::vector<FrequentItemset>& itemsets,
+                 const SupportIndex& index, const ItemsetRanks& ranks,
+                 const RuleParams& params, double num_transactions,
+                 std::vector<RuleRecord>* records)
+      : itemsets_(itemsets),
+        index_(index),
+        ranks_(ranks),
         params_(params),
         n_(num_transactions),
-        rules_(rules) {}
+        records_(records) {}
 
-  void Run(const FrequentItemset& itemset) {
-    itemset_ = &itemset;
-    k_ = itemset.items.size();
+  void Run(uint32_t itemset) {
+    itemset_ = itemset;
+    k_ = itemsets_[itemset].items.size();
     full_ = (uint64_t{1} << k_) - 1;
     Grow(0, 0);
   }
@@ -156,11 +248,11 @@ class ConsequentWalk {
     }
   }
 
-  /// Emits the rule (complement => consequent) if it passes both bars,
+  /// Records the rule (complement => consequent) if it passes both bars,
   /// with the accept-lenient +1e-12 convention. Returns whether it passes
-  /// the confidence bar. Only emitted rules allocate their itemsets.
+  /// the confidence bar.
   bool EmitIfPassing(uint64_t consequent) {
-    const FrequentItemset& itemset = *itemset_;
+    const FrequentItemset& itemset = itemsets_[itemset_];
     const FrequentItemset* antecedent =
         index_.Find(itemset.items, full_ & ~consequent);
     const double confidence = static_cast<double>(itemset.support) /
@@ -172,23 +264,23 @@ class ConsequentWalk {
         static_cast<double>(consequent_set->support) / n_;
     const double lift = confidence / consequent_fraction;
     if (lift + 1e-12 >= params_.min_lift) {
-      const double rule_support = static_cast<double>(itemset.support) / n_;
-      const double antecedent_fraction =
-          static_cast<double>(antecedent->support) / n_;
-      rules_->push_back({antecedent->items, consequent_set->items,
-                         itemset.support, rule_support, confidence, lift,
-                         Conviction(consequent_fraction, confidence),
-                         rule_support - antecedent_fraction *
-                                            consequent_fraction});
+      records_->push_back({confidence, lift, RankOf(antecedent),
+                           RankOf(consequent_set), itemset_});
     }
     return true;
   }
 
+  uint32_t RankOf(const FrequentItemset* itemset) const {
+    return ranks_.rank[static_cast<size_t>(itemset - itemsets_.data())];
+  }
+
+  const std::vector<FrequentItemset>& itemsets_;
   const SupportIndex& index_;
+  const ItemsetRanks& ranks_;
   const RuleParams& params_;
   const double n_;
-  std::vector<AssociationRule>* rules_;
-  const FrequentItemset* itemset_ = nullptr;
+  std::vector<RuleRecord>* records_;
+  uint32_t itemset_ = 0;
   size_t k_ = 0;
   uint64_t full_ = 0;
 };
@@ -202,27 +294,38 @@ Result<std::vector<AssociationRule>> GenerateRules(
   if (num_transactions == 0) {
     return Status::InvalidArgument("num_transactions must be > 0");
   }
-  const SupportIndex index(mining.itemsets);
+  const std::vector<FrequentItemset>& itemsets = mining.itemsets;
+  const SupportIndex index(itemsets);
   DMT_RETURN_NOT_OK(ValidateForRules(mining, index));
 
-  std::vector<AssociationRule> rules;
-  ConsequentWalk walk(index, params, static_cast<double>(num_transactions),
-                      &rules);
-  for (const auto& itemset : mining.itemsets) {
-    if (itemset.items.size() >= 2) walk.Run(itemset);
+  // Walk every itemset into compact records, order them, then materialize
+  // the rules in one pass.
+  const ItemsetRanks ranks(itemsets);
+  const double n = static_cast<double>(num_transactions);
+  std::vector<RuleRecord> records;
+  ConsequentWalk walk(itemsets, index, ranks, params, n, &records);
+  for (uint32_t i = 0; i < itemsets.size(); ++i) {
+    if (itemsets[i].items.size() >= 2) walk.Run(i);
   }
-
-  std::sort(rules.begin(), rules.end(),
-            [](const AssociationRule& a, const AssociationRule& b) {
-              if (a.confidence != b.confidence) {
-                return a.confidence > b.confidence;
-              }
-              if (a.lift != b.lift) return a.lift > b.lift;
-              if (a.antecedent != b.antecedent) {
-                return a.antecedent < b.antecedent;
-              }
-              return a.consequent < b.consequent;
-            });
+  std::vector<AssociationRule> rules;
+  rules.reserve(records.size());
+  for (uint32_t r : SortedOrder(records)) {
+    const RuleRecord& record = records[r];
+    const FrequentItemset& itemset = itemsets[record.itemset];
+    const FrequentItemset& antecedent =
+        itemsets[ranks.by_rank[record.antecedent_rank]];
+    const FrequentItemset& consequent =
+        itemsets[ranks.by_rank[record.consequent_rank]];
+    const double rule_support = static_cast<double>(itemset.support) / n;
+    const double antecedent_fraction =
+        static_cast<double>(antecedent.support) / n;
+    const double consequent_fraction =
+        static_cast<double>(consequent.support) / n;
+    rules.push_back({antecedent.items, consequent.items, itemset.support,
+                     rule_support, record.confidence, record.lift,
+                     Conviction(consequent_fraction, record.confidence),
+                     rule_support - antecedent_fraction * consequent_fraction});
+  }
   return rules;
 }
 

@@ -71,14 +71,16 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
   return file;
 }
 
-Status WriteFileBytes(const std::string& path,
-                      std::span<const std::byte> bytes) {
+Status WriteFileParts(const std::string& path,
+                      std::span<const std::span<const std::byte>> parts) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Status::IOError("cannot create '" + tmp + "'");
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    for (std::span<const std::byte> part : parts) {
+      out.write(reinterpret_cast<const char*>(part.data()),
+                static_cast<std::streamsize>(part.size()));
+    }
     out.flush();
     if (!out) {
       out.close();
@@ -92,6 +94,11 @@ Status WriteFileBytes(const std::string& path,
     return status;
   }
   return Status::OK();
+}
+
+Status WriteFileBytes(const std::string& path,
+                      std::span<const std::byte> bytes) {
+  return WriteFileParts(path, {&bytes, 1});
 }
 
 Result<std::string> ReadFileString(const std::string& path) {

@@ -45,9 +45,14 @@ class MappedFile {
   std::string path_;
 };
 
-/// Writes `bytes` to `path`, replacing any existing file. The write goes
-/// through a same-directory temporary that is renamed into place, so
-/// readers never observe a half-written container.
+/// Writes the concatenation of `parts` to `path`, replacing any existing
+/// file, without first joining them in memory. The write goes through a
+/// same-directory temporary that is renamed into place, so readers never
+/// observe a half-written container.
+Status WriteFileParts(const std::string& path,
+                      std::span<const std::span<const std::byte>> parts);
+
+/// WriteFileParts with one part.
 Status WriteFileBytes(const std::string& path,
                       std::span<const std::byte> bytes);
 

@@ -10,10 +10,12 @@
 #ifndef DMT_IO_BYTES_H_
 #define DMT_IO_BYTES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -23,6 +25,9 @@ namespace dmt::io {
 /// Append-only byte buffer with primitive put operations. Values are
 /// memcpy'd in host order; the container format is declared little-endian
 /// and the library targets little-endian hosts (checked in container.cc).
+/// The buffer grows geometrically, so a put is one bounds check and one
+/// memcpy; Reserve sizes it once when the final length is known, and
+/// Release hands the bytes over without a copy.
 class ByteWriter {
  public:
   void PutU8(uint8_t v) { PutRaw(&v, sizeof(v)); }
@@ -45,14 +50,35 @@ class ByteWriter {
   }
 
   void PutRaw(const void* data, size_t size) {
-    const auto* bytes = static_cast<const std::byte*>(data);
-    buffer_.insert(buffer_.end(), bytes, bytes + size);
+    // An empty span's data() may be null, which memcpy must never see.
+    if (size == 0) return;
+    if (buffer_.size() - size_ < size) {
+      buffer_.resize(std::max({size_ + size, 2 * buffer_.size(),
+                               size_t{64}}));
+    }
+    std::memcpy(buffer_.data() + size_, data, size);
+    size_ += size;
   }
 
-  std::span<const std::byte> bytes() const { return buffer_; }
+  /// Makes room for `size` more bytes, so the puts that follow do not
+  /// reallocate.
+  void Reserve(size_t size) {
+    if (buffer_.size() - size_ < size) buffer_.resize(size_ + size);
+  }
+
+  std::span<const std::byte> bytes() const { return {buffer_.data(), size_}; }
+
+  /// Moves the written bytes out, leaving the writer empty.
+  std::vector<std::byte> Release() {
+    buffer_.resize(size_);
+    size_ = 0;
+    return std::exchange(buffer_, {});
+  }
 
  private:
+  // The first size_ bytes are written; the rest is room to grow into.
   std::vector<std::byte> buffer_;
+  size_t size_ = 0;
 };
 
 /// Sequential reader over a section payload. Every read checks the

@@ -41,15 +41,29 @@ uint64_t AlignUp(uint64_t value) {
   return (value + kSectionAlignment - 1) & ~(kSectionAlignment - 1);
 }
 
+constexpr std::byte kPadding[kSectionAlignment] = {};
+
 }  // namespace
 
 void ContainerWriter::AddSection(uint32_t id,
-                                 std::span<const std::byte> payload) {
-  sections_.emplace_back(
-      id, std::vector<std::byte>(payload.begin(), payload.end()));
+                                 std::vector<std::byte>&& payload) {
+  sections_.emplace_back(id, std::move(payload));
 }
 
-std::vector<std::byte> ContainerWriter::Serialize() const {
+uint64_t ContainerWriter::FileSize() const {
+  uint64_t cursor =
+      sizeof(FileHeader) + sections_.size() * sizeof(SectionEntry);
+  for (const auto& section : sections_) {
+    cursor = AlignUp(cursor + section.second.size());
+  }
+  return cursor;
+}
+
+/// The one layout both Serialize() and WriteToFile() emit: `head` holds
+/// the header and the section table, and `parts` lists head, then each
+/// non-empty payload followed by its zero padding to the next 8-byte
+/// boundary. The parts point into `head` and the sections.
+ContainerWriter::Layout ContainerWriter::MakeLayout() const {
   FileHeader header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.format_version = kFormatVersion;
@@ -76,24 +90,49 @@ std::vector<std::byte> ContainerWriter::Serialize() const {
                     crc);
   header.header_crc32 = crc;
 
-  std::vector<std::byte> out(cursor, std::byte{0});
-  std::memcpy(out.data(), &header, sizeof(header));
-  // Empty vectors may have null data(), which memcpy must never see.
-  if (!entries.empty()) {
-    std::memcpy(out.data() + sizeof(header), entries.data(),
-                entries.size() * sizeof(SectionEntry));
-  }
+  Layout layout;
+  const auto header_bytes = std::as_bytes(std::span(&header, 1));
+  const auto table_bytes = std::as_bytes(std::span(entries));
+  layout.head.reserve(header_bytes.size() + table_bytes.size());
+  layout.head.assign(header_bytes.begin(), header_bytes.end());
+  layout.head.insert(layout.head.end(), table_bytes.begin(),
+                     table_bytes.end());
+  layout.parts.push_back(layout.head);
   for (size_t s = 0; s < sections_.size(); ++s) {
-    if (sections_[s].second.empty()) continue;
-    std::memcpy(out.data() + entries[s].offset, sections_[s].second.data(),
-                sections_[s].second.size());
+    const std::vector<std::byte>& payload = sections_[s].second;
+    if (payload.empty()) continue;
+    layout.parts.push_back(payload);
+    const uint64_t end = entries[s].offset + payload.size();
+    if (AlignUp(end) != end) {
+      layout.parts.push_back(std::span(kPadding, AlignUp(end) - end));
+    }
+  }
+  return layout;
+}
+
+std::vector<std::byte> ContainerWriter::Serialize() const {
+  const Layout layout = MakeLayout();
+  std::vector<std::byte> out;
+  out.reserve(FileSize());
+  for (std::span<const std::byte> part : layout.parts) {
+    out.insert(out.end(), part.begin(), part.end());
   }
   return out;
 }
 
 core::Status ContainerWriter::WriteToFile(const std::string& path) const {
-  const std::vector<std::byte> bytes = Serialize();
-  return core::WriteFileBytes(path, bytes);
+  std::vector<uint32_t> ids;
+  ids.reserve(sections_.size());
+  for (const auto& section : sections_) ids.push_back(section.first);
+  std::sort(ids.begin(), ids.end());
+  const auto duplicate = std::adjacent_find(ids.begin(), ids.end());
+  if (duplicate != ids.end()) {
+    return core::Status::InvalidArgument(
+        path + ": duplicate section id " + std::to_string(*duplicate) +
+        " (a reader rejects the file)");
+  }
+  const Layout layout = MakeLayout();
+  return core::WriteFileParts(path, layout.parts);
 }
 
 core::Result<ContainerReader> ContainerReader::Map(const std::string& path,

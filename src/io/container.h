@@ -88,14 +88,19 @@ struct SectionEntry {
 static_assert(sizeof(SectionEntry) == 32,
               "SectionEntry must pack to 32 bytes");
 
-/// Assembles a container in memory and writes it atomically. Sections are
-/// laid out in AddSection order; ids must be unique within one file.
+/// Assembles a container and writes it atomically. Sections are laid out
+/// in AddSection order; ids must be unique within one file.
 class ContainerWriter {
  public:
   explicit ContainerWriter(ArtifactType type) : type_(type) {}
 
+  /// Adds a section payload, taking ownership without a copy.
+  void AddSection(uint32_t id, std::vector<std::byte>&& payload);
+
   /// Adds a section payload (copied).
-  void AddSection(uint32_t id, std::span<const std::byte> payload);
+  void AddSection(uint32_t id, std::span<const std::byte> payload) {
+    AddSection(id, std::vector<std::byte>(payload.begin(), payload.end()));
+  }
 
   /// Adds a section holding a raw array of trivially copyable elements.
   template <typename T>
@@ -104,14 +109,27 @@ class ContainerWriter {
     AddSection(id, std::as_bytes(values));
   }
 
-  /// Serializes header + table + payloads and writes them via
-  /// core::WriteFileBytes (atomic rename).
+  /// Size of the file WriteToFile writes, in bytes.
+  uint64_t FileSize() const;
+
+  /// Writes header, section table, payloads and padding straight from
+  /// the sections via core::WriteFileParts (atomic rename), with no
+  /// whole-file buffer. InvalidArgument, before any file is created, when
+  /// two sections share an id (ContainerReader rejects such a file).
   core::Status WriteToFile(const std::string& path) const;
 
-  /// Serialized container bytes (exposed for tests that corrupt them).
+  /// Serialized container bytes, the same bytes WriteToFile writes
+  /// (exposed for tests that corrupt them).
   std::vector<std::byte> Serialize() const;
 
  private:
+  /// The file as consecutive parts; see container.cc.
+  struct Layout {
+    std::vector<std::byte> head;  // header + section table
+    std::vector<std::span<const std::byte>> parts;
+  };
+  Layout MakeLayout() const;
+
   ArtifactType type_;
   std::vector<std::pair<uint32_t, std::vector<std::byte>>> sections_;
 };

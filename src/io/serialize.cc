@@ -30,10 +30,10 @@ constexpr uint32_t kColumnBase = 16;
 core::Status WriteContainer(const ContainerWriter& writer,
                             const std::string& path) {
   obs::Span span("io/serialize/write");
-  std::vector<std::byte> bytes = writer.Serialize();
-  span.AddArg("bytes", bytes.size());
-  obs::Counter("io/bytes_written").Add(bytes.size());
-  return core::WriteFileBytes(path, bytes);
+  DMT_RETURN_NOT_OK(writer.WriteToFile(path));
+  span.AddArg("bytes", writer.FileSize());
+  obs::Counter("io/bytes_written").Add(writer.FileSize());
+  return core::Status::OK();
 }
 
 core::Result<ContainerReader> MapContainer(const std::string& path,
@@ -54,7 +54,7 @@ core::Status WriteTransactionDatabase(const core::TransactionDatabase& db,
   meta.PutU64(db.size());
   meta.PutU64(db.total_items());
   meta.PutU64(db.item_universe());
-  writer.AddSection(kMeta, meta.bytes());
+  writer.AddSection(kMeta, meta.Release());
   writer.AddArraySection<uint64_t>(kOffsets, db.offsets());
   writer.AddArraySection<core::ItemId>(kItems, db.items());
   return WriteContainer(writer, path);
@@ -200,7 +200,7 @@ core::Status WriteDataset(const core::Dataset& dataset,
       }
     }
   }
-  writer.AddSection(kMeta, schema.bytes());
+  writer.AddSection(kMeta, schema.Release());
   writer.AddArraySection<uint32_t>(kLabels, dataset.labels());
   for (size_t a = 0; a < dataset.num_attributes(); ++a) {
     const uint32_t id = kColumnBase + static_cast<uint32_t>(a);
@@ -321,7 +321,7 @@ core::Status WriteMiningResult(const assoc::MiningResult& result,
     meta.PutU64(pass.candidates);
     meta.PutU64(pass.frequent);
   }
-  writer.AddSection(kMeta, meta.bytes());
+  writer.AddSection(kMeta, meta.Release());
   writer.AddArraySection<uint64_t>(kOffsets, std::span(offsets));
   writer.AddArraySection<core::ItemId>(kItems, std::span(items));
   writer.AddArraySection<uint32_t>(kSupports, std::span(supports));
@@ -406,6 +406,16 @@ namespace {
 /// conviction, leverage) as raw IEEE-754 bit patterns.
 void AppendRuleStream(const std::vector<assoc::AssociationRule>& rules,
                       ByteWriter* stream) {
+  // Size the stream once: a count, then per rule two u64-prefixed item
+  // arrays, the u32 support count and five f64 measures.
+  size_t size = sizeof(uint64_t);
+  for (const assoc::AssociationRule& rule : rules) {
+    size += 2 * sizeof(uint64_t) +
+            (rule.antecedent.size() + rule.consequent.size()) *
+                sizeof(core::ItemId) +
+            sizeof(uint32_t) + 5 * sizeof(double);
+  }
+  stream->Reserve(size);
   stream->PutU64(rules.size());
   for (const assoc::AssociationRule& rule : rules) {
     stream->PutArray<core::ItemId>(rule.antecedent);
@@ -453,7 +463,7 @@ core::Status WriteRuleSet(const std::vector<assoc::AssociationRule>& rules,
   ContainerWriter writer(ArtifactType::kRuleSet);
   ByteWriter stream;
   AppendRuleStream(rules, &stream);
-  writer.AddSection(kRules, stream.bytes());
+  writer.AddSection(kRules, stream.Release());
   return WriteContainer(writer, path);
 }
 
@@ -481,7 +491,7 @@ core::Status WriteQuantRuleSet(const assoc::QuantRuleSet& rule_set,
   meta.PutF64(rule_set.partial_completeness);
   meta.PutU64(rule_set.itemsets_mined);
   meta.PutU64(rule_set.itemsets_attribute_distinct);
-  writer.AddSection(kMeta, meta.bytes());
+  writer.AddSection(kMeta, meta.Release());
 
   ByteWriter items;
   items.PutU64(rule_set.items.size());
@@ -495,11 +505,11 @@ core::Status WriteQuantRuleSet(const assoc::QuantRuleSet& rule_set,
     items.PutU32(item.last_bin);
     items.PutString(item.label);
   }
-  writer.AddSection(kQuantItems, items.bytes());
+  writer.AddSection(kQuantItems, items.Release());
 
   ByteWriter rules;
   AppendRuleStream(rule_set.rules, &rules);
-  writer.AddSection(kQuantRules, rules.bytes());
+  writer.AddSection(kQuantRules, rules.Release());
   return WriteContainer(writer, path);
 }
 
@@ -576,7 +586,7 @@ core::Status WriteDecisionTree(const tree::DecisionTree& tree,
   ContainerWriter writer(ArtifactType::kDecisionTree);
   ByteWriter meta;
   meta.PutU64(tree.num_nodes());
-  writer.AddSection(kMeta, meta.bytes());
+  writer.AddSection(kMeta, meta.Release());
 
   ByteWriter nodes;
   for (size_t n = 0; n < tree.num_nodes(); ++n) {
@@ -590,7 +600,7 @@ core::Status WriteDecisionTree(const tree::DecisionTree& tree,
     nodes.PutArray<uint32_t>(node.class_counts);
     nodes.PutArray<uint32_t>(node.children);
   }
-  writer.AddSection(kNodes, nodes.bytes());
+  writer.AddSection(kNodes, nodes.Release());
 
   ByteWriter names;
   const auto& attribute_names =
@@ -609,7 +619,7 @@ core::Status WriteDecisionTree(const tree::DecisionTree& tree,
   }
   names.PutU32(static_cast<uint32_t>(class_names.size()));
   for (const std::string& name : class_names) names.PutString(name);
-  writer.AddSection(kNames, names.bytes());
+  writer.AddSection(kNames, names.Release());
   return WriteContainer(writer, path);
 }
 
@@ -719,7 +729,7 @@ core::Status WriteKMeansModel(const cluster::ClusteringResult& model,
   meta.PutU64(model.iterations);
   meta.PutU64(model.distance_computations);
   meta.PutF64(model.sse);
-  writer.AddSection(kMeta, meta.bytes());
+  writer.AddSection(kMeta, meta.Release());
   writer.AddArraySection<double>(kCenters, std::span(model.centers.data()));
   writer.AddArraySection<uint32_t>(kAssignments,
                                    std::span(model.assignments));

@@ -16,12 +16,12 @@ namespace {
 
 /// Stamps the frame header in front of a finished body.
 std::vector<std::byte> FinishFrame(uint32_t magic, const ByteWriter& body) {
-  ByteWriter header;
-  header.PutU32(magic);
-  header.PutU32(static_cast<uint32_t>(body.bytes().size()));
-  std::vector<std::byte> frame(header.bytes().begin(), header.bytes().end());
-  frame.insert(frame.end(), body.bytes().begin(), body.bytes().end());
-  return frame;
+  ByteWriter frame;
+  frame.Reserve(2 * sizeof(uint32_t) + body.bytes().size());
+  frame.PutU32(magic);
+  frame.PutU32(static_cast<uint32_t>(body.bytes().size()));
+  frame.PutRaw(body.bytes().data(), body.bytes().size());
+  return frame.Release();
 }
 
 Status BadCount(const char* what, uint64_t got, uint64_t cap) {

@@ -15,6 +15,7 @@
 #include "assoc/sampling.h"
 #include "core/rng.h"
 #include "gen/quest.h"
+#include "obs/trace.h"
 
 namespace dmt::assoc {
 namespace {
@@ -499,6 +500,135 @@ TEST(MinerPropertiesTest, FpGrowthWorkCountersPinnedOnSingleChain) {
   naive.single_path_optimization = false;
   ExpectFpWork(db, params, {}, {1023, 0, 10});
   ExpectFpWork(db, params, naive, {1023, 511, 1023});
+}
+
+/// FNV-1a over every itemset's items and support, in result order: one
+/// number that pins a whole result.
+uint64_t ItemsetDigest(const std::vector<FrequentItemset>& itemsets) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  for (const FrequentItemset& itemset : itemsets) {
+    mix(itemset.items.size());
+    for (ItemId item : itemset.items) mix(item);
+    mix(itemset.support);
+  }
+  return h;
+}
+
+/// Pinned Eclat work on one fixed draw. The itemsets and the pass census
+/// are those of the all-pairs walk, which intersected every pair of
+/// frequent items at the root; the root level now reads pair supports
+/// from the shared pair table and intersects tidsets only for the
+/// frequent pairs, so the intersection count is the all-pairs walk's
+/// minus C(n,2) plus |L2| (n frequent items, |L2| frequent pairs).
+struct EclatWorkPin {
+  size_t itemsets;
+  uint64_t digest;
+  std::vector<std::pair<size_t, size_t>> passes;  // (candidates, frequent)
+  uint64_t all_pairs_intersections;
+};
+
+/// Number of "assoc/eclat/pair_table" spans one MineEclat call records:
+/// whether it built the pair table.
+size_t EclatPairTablesBuilt(const TransactionDatabase& db,
+                            const MiningParams& params,
+                            const EclatOptions& options) {
+  obs::TraceSink& sink = obs::TraceSink::Global();
+  const bool was_enabled = sink.enabled();
+  sink.set_enabled(true);
+  sink.Clear();
+  EXPECT_TRUE(MineEclat(db, params, options).ok());
+  size_t built = 0;
+  for (const obs::SpanAggregate& aggregate : sink.Aggregates()) {
+    if (aggregate.name == "assoc/eclat/pair_table") built = aggregate.count;
+  }
+  sink.Clear();
+  sink.set_enabled(was_enabled);
+  return built;
+}
+
+void ExpectEclatWork(const TransactionDatabase& db, MiningParams params,
+                     const EclatWorkPin& pin) {
+  const uint64_t n = pin.passes[0].second;
+  const uint64_t frequent_pairs =
+      pin.passes.size() > 1 ? pin.passes[1].second : 0;
+  // A cap of 1 or 2 never intersects: pairs come straight from the table.
+  const uint64_t intersections =
+      params.max_itemset_size == 1 || params.max_itemset_size == 2
+          ? 0
+          : pin.all_pairs_intersections - n * (n - 1) / 2 + frequent_pairs;
+  for (auto repr : {EclatOptions::TidsetRepr::kSortedVectors,
+                    EclatOptions::TidsetRepr::kBitsets}) {
+    EclatOptions options;
+    options.representation = repr;
+    for (size_t threads : {0u, 4u}) {
+      params.num_threads = threads;
+      const std::string label =
+          std::string(repr == EclatOptions::TidsetRepr::kBitsets
+                          ? "bitsets"
+                          : "vectors") +
+          " threads=" + std::to_string(threads);
+      auto result = MineEclat(db, params, options);
+      ASSERT_TRUE(result.ok()) << label;
+      EXPECT_EQ(result->itemsets.size(), pin.itemsets) << label;
+      EXPECT_EQ(ItemsetDigest(result->itemsets), pin.digest) << label;
+      ASSERT_EQ(result->passes.size(), pin.passes.size()) << label;
+      for (size_t p = 0; p < pin.passes.size(); ++p) {
+        EXPECT_EQ(result->passes[p].pass, p + 1) << label;
+        EXPECT_EQ(result->passes[p].candidates, pin.passes[p].first)
+            << label << " pass " << p + 1;
+        EXPECT_EQ(result->passes[p].frequent, pin.passes[p].second)
+            << label << " pass " << p + 1;
+      }
+      EXPECT_EQ(result->tidset_intersections, intersections) << label;
+      EXPECT_EQ(EclatPairTablesBuilt(db, params, options),
+                params.max_itemset_size == 1 || n < 2 ? 0u : 1u)
+          << label;
+    }
+  }
+}
+
+TEST(MinerPropertiesTest, EclatWorkPinnedOnQuestDraw) {
+  gen::QuestParams quest;
+  quest.num_transactions = 2000;
+  quest.avg_transaction_size = 8.0;
+  quest.avg_pattern_size = 4.0;
+  quest.num_items = 120;
+  quest.num_patterns = 40;
+  auto db = gen::GenerateQuestTransactions(quest, 19);
+  ASSERT_TRUE(db.ok());
+  MiningParams params;
+  params.min_support = 0.01;
+  ExpectEclatWork(*db, params,
+                  {9193,
+                   8496340020599067040ull,
+                   {{120, 59},
+                    {1711, 667},
+                    {7803, 1890},
+                    {7211, 2450},
+                    {3439, 2118},
+                    {1699, 1330},
+                    {632, 543},
+                    {139, 121},
+                    {16, 14},
+                    {1, 1}},
+                   22651});
+  params.max_itemset_size = 3;
+  ExpectEclatWork(*db, params,
+                  {2616,
+                   12573590509772600642ull,
+                   {{120, 59}, {1711, 667}, {7803, 1890}},
+                   9514});
+  params.max_itemset_size = 2;
+  ExpectEclatWork(*db, params,
+                  {726, 14406764797025377390ull, {{120, 59}, {1711, 667}},
+                   1711});
+  params.max_itemset_size = 1;
+  ExpectEclatWork(*db, params,
+                  {59, 10324741943018975748ull, {{120, 59}}, 0});
 }
 
 TEST(MinerPropertiesTest, AprioriPassStatsConsistent) {

@@ -415,6 +415,66 @@ TEST(PatternGrowthParallelDiffTest, MoreThreadsThanTopLevelTasks) {
   ExpectSameResult(*eclat_serial, *eclat_parallel, 8);
 }
 
+/// FP-growth's root tree is built chunk-parallel (per-chunk sorted paths,
+/// merged per group of first positions into subtrees that are then
+/// concatenated). Every thread count must mine what the serial build
+/// mines, with the same conditional trees and node counts, under both
+/// root strategies (single-path fast path on and off).
+void ExpectFpRootBuildMatchesSerial(const core::TransactionDatabase& db,
+                                    double min_support) {
+  for (bool single_path : {true, false}) {
+    FpGrowthOptions options;
+    options.single_path_optimization = single_path;
+    MiningParams params;
+    params.min_support = min_support;
+    auto serial = MineFpGrowth(db, params, options);
+    ASSERT_TRUE(serial.ok());
+    EXPECT_FALSE(serial->itemsets.empty());
+    for (size_t threads : {1u, 2u, 7u}) {
+      params.num_threads = threads;
+      auto parallel = MineFpGrowth(db, params, options);
+      ASSERT_TRUE(parallel.ok());
+      ExpectSameResult(*serial, *parallel, threads);
+    }
+  }
+}
+
+TEST(FpGrowthParallelDiffTest, RootBuildWithMoreChunksThanTransactions) {
+  // 7 threads ask for 14 chunks; five transactions get one chunk each,
+  // and the groups of first positions outnumber the chunks too.
+  core::TransactionDatabase tiny;
+  tiny.Add(std::vector<core::ItemId>{0, 1, 2, 3});
+  tiny.Add(std::vector<core::ItemId>{0, 1, 4});
+  tiny.Add(std::vector<core::ItemId>{1, 2, 5});
+  tiny.Add(std::vector<core::ItemId>{0, 3, 4, 5});
+  tiny.Add(std::vector<core::ItemId>{2, 3, 6});
+  ExpectFpRootBuildMatchesSerial(tiny, 0.2);
+}
+
+TEST(FpGrowthParallelDiffTest, RootBuildMergesEqualPathsAcrossChunks) {
+  // The same three baskets repeat through the whole database, so every
+  // chunk holds identical paths that tie in the merge.
+  core::TransactionDatabase db;
+  const std::vector<std::vector<core::ItemId>> baskets = {
+      {0, 1, 2, 3}, {0, 1, 2}, {2, 3, 4}};
+  for (int repeat = 0; repeat < 40; ++repeat) {
+    for (const auto& basket : baskets) db.Add(basket);
+  }
+  ExpectFpRootBuildMatchesSerial(db, 0.1);
+}
+
+TEST(FpGrowthParallelDiffTest, RootBuildSkipsEmptyAndInfrequentBaskets) {
+  // Empty transactions and transactions of infrequent items only yield
+  // empty paths, which add no node wherever they fall.
+  core::TransactionDatabase db = RandomBaskets(/*seed=*/91, 12, 5);
+  for (core::ItemId rare = 100; rare < 160; ++rare) {
+    db.Add(std::vector<core::ItemId>{});
+    db.Add(std::vector<core::ItemId>{rare});
+    db.Add(std::vector<core::ItemId>{rare, rare + 100});
+  }
+  ExpectFpRootBuildMatchesSerial(db, 0.05);
+}
+
 TEST(RegistryParallelDiffTest, CounterTotalsIdenticalAcrossThreadCounts) {
   // The metrics registry is under the same determinism contract as the
   // results: after identical work, every counter total must be

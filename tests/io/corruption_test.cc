@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -188,6 +189,33 @@ TEST(CorruptionTest, OverlappingSectionsAreRejected) {
   FixHeaderCrc(&bytes);
   auto reader = ContainerReader::FromBytes(
       bytes, ArtifactType::kTransactionDatabase);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), core::StatusCode::kCorruption);
+}
+
+TEST(CorruptionTest, DuplicateSectionIdsAreRejectedBeforeWriting) {
+  // A reader always rejects a file with two sections of one id, so the
+  // writer refuses it up front instead of leaving the error to load time.
+  ContainerWriter writer(ArtifactType::kTransactionDatabase);
+  const std::vector<uint64_t> offsets = {0, 1};
+  writer.AddArraySection<uint64_t>(2, offsets);
+  writer.AddArraySection<uint64_t>(3, offsets);
+  writer.AddArraySection<uint64_t>(2, offsets);
+  const std::string path = TempPath("duplicate_ids.dmtb");
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  const core::Status status = writer.WriteToFile(path);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("duplicate section id 2"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(core::MappedFile::Open(path).ok()) << "file was written";
+  EXPECT_FALSE(core::MappedFile::Open(path + ".tmp").ok())
+      << "temporary file was created";
+  // The same sections, serialized anyway, are what a reader rejects.
+  auto reader = ContainerReader::FromBytes(
+      writer.Serialize(), ArtifactType::kTransactionDatabase);
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), core::StatusCode::kCorruption);
 }

@@ -15,9 +15,12 @@
 #include "assoc/rules.h"
 #include "cluster/kmeans.h"
 #include "core/check.h"
+#include "core/mmap_file.h"
 #include "gen/agrawal.h"
 #include "gen/mixture.h"
 #include "gen/quest.h"
+#include "io/bytes.h"
+#include "io/container.h"
 #include "io/serialize.h"
 #include "tree/builder.h"
 
@@ -342,6 +345,175 @@ TEST(KMeansRoundtripTest, LoadedModelIsBitIdentical) {
   const auto& got = loaded->centers.data();
   EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         want.size() * sizeof(double)),
+            0);
+}
+
+// ---- The write path ------------------------------------------------------
+
+std::vector<std::byte> FileBytes(const std::string& path) {
+  auto text = core::ReadFileString(path);
+  DMT_CHECK(text.ok());
+  const auto* data = reinterpret_cast<const std::byte*>(text->data());
+  return std::vector<std::byte>(data, data + text->size());
+}
+
+/// The file at `path` must be exactly what Serialize() yields for the same
+/// sections: WriteToFile emits header, table, payloads and padding as
+/// separate parts, Serialize() joins them, and both share one layout.
+void ExpectFileEqualsSerialize(const std::string& path, ArtifactType type) {
+  SCOPED_TRACE(std::string(ArtifactTypeName(type)));
+  auto reader = ContainerReader::Map(path, type);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ContainerWriter writer(type);
+  for (const SectionEntry& entry : reader->entries()) {
+    auto payload = reader->Section(entry.id);
+    ASSERT_TRUE(payload.ok());
+    writer.AddSection(entry.id, *payload);
+  }
+  EXPECT_EQ(writer.FileSize(), FileBytes(path).size());
+  EXPECT_TRUE(writer.Serialize() == FileBytes(path));
+}
+
+TEST(WritePathTest, WrittenFileEqualsSerializeForEveryArtifact) {
+  const auto db = QuestWorkload(53);
+  const std::string db_path = TempPath("write_db.dmtb");
+  ASSERT_TRUE(WriteTransactionDatabase(db, db_path).ok());
+  ExpectFileEqualsSerialize(db_path, ArtifactType::kTransactionDatabase);
+
+  const auto dataset = AgrawalWorkload(7);
+  const std::string dataset_path = TempPath("write_dataset.dmtb");
+  ASSERT_TRUE(WriteDataset(dataset, dataset_path).ok());
+  ExpectFileEqualsSerialize(dataset_path, ArtifactType::kDataset);
+
+  assoc::MiningParams params;
+  params.min_support = 0.01;
+  auto mined = assoc::MineFpGrowth(db, params);
+  ASSERT_TRUE(mined.ok());
+  const std::string mined_path = TempPath("write_mining.dmtb");
+  ASSERT_TRUE(WriteMiningResult(*mined, mined_path).ok());
+  ExpectFileEqualsSerialize(mined_path, ArtifactType::kMiningResult);
+
+  assoc::RuleParams rule_params;
+  rule_params.min_confidence = 0.5;
+  auto rules = assoc::GenerateRules(*mined, db.size(), rule_params);
+  ASSERT_TRUE(rules.ok());
+  ASSERT_FALSE(rules->empty());
+  const std::string rules_path = TempPath("write_rules.dmtb");
+  ASSERT_TRUE(WriteRuleSet(*rules, rules_path).ok());
+  ExpectFileEqualsSerialize(rules_path, ArtifactType::kRuleSet);
+  // An empty rule set is a count and nothing else.
+  const std::string empty_rules_path = TempPath("write_empty_rules.dmtb");
+  ASSERT_TRUE(WriteRuleSet({}, empty_rules_path).ok());
+  ExpectFileEqualsSerialize(empty_rules_path, ArtifactType::kRuleSet);
+
+  assoc::QuantParams quant;
+  quant.min_support = 0.1;
+  quant.num_bins = 6;
+  quant.min_confidence = 0.6;
+  auto rule_set = assoc::MineQuantitativeRules(dataset, quant);
+  ASSERT_TRUE(rule_set.ok());
+  const std::string quant_path = TempPath("write_quant.dmtb");
+  ASSERT_TRUE(WriteQuantRuleSet(*rule_set, quant_path).ok());
+  ExpectFileEqualsSerialize(quant_path, ArtifactType::kQuantRuleSet);
+
+  auto built = tree::BuildC45(dataset);
+  ASSERT_TRUE(built.ok());
+  const std::string tree_path = TempPath("write_tree.dmtb");
+  ASSERT_TRUE(WriteDecisionTree(*built, tree_path).ok());
+  ExpectFileEqualsSerialize(tree_path, ArtifactType::kDecisionTree);
+
+  gen::GaussianMixtureParams mixture;
+  mixture.num_clusters = 3;
+  mixture.points_per_cluster = 40;
+  mixture.dim = 3;
+  auto points = gen::GenerateGaussianMixture(mixture, /*seed=*/5);
+  ASSERT_TRUE(points.ok());
+  cluster::KMeansOptions kmeans;
+  kmeans.k = 3;
+  kmeans.seed = 5;
+  auto model = cluster::KMeans(points->points, kmeans);
+  ASSERT_TRUE(model.ok());
+  const std::string model_path = TempPath("write_kmeans.dmtb");
+  ASSERT_TRUE(WriteKMeansModel(*model, model_path).ok());
+  ExpectFileEqualsSerialize(model_path, ArtifactType::kKMeansModel);
+}
+
+TEST(WritePathTest, OddLengthAndEmptySectionsArePaddedIdentically) {
+  // Payload lengths 0, 1, 5, 8 and 13: every padding width from none to
+  // seven bytes, and an empty section between two non-empty ones.
+  ContainerWriter writer(ArtifactType::kRuleSet);
+  std::vector<std::vector<std::byte>> payloads;
+  for (size_t length : {5u, 0u, 1u, 13u, 8u, 0u}) {
+    std::vector<std::byte> payload(length);
+    for (size_t i = 0; i < length; ++i) {
+      payload[i] = static_cast<std::byte>((payloads.size() * 16 + i) & 0xff);
+    }
+    payloads.push_back(payload);
+    writer.AddSection(static_cast<uint32_t>(payloads.size()),
+                      std::vector<std::byte>(payload));
+  }
+  const std::string path = TempPath("write_odd.dmtb");
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
+  const std::vector<std::byte> serialized = writer.Serialize();
+  EXPECT_EQ(serialized.size(), writer.FileSize());
+  EXPECT_EQ(serialized.size() % kSectionAlignment, 0u);
+  EXPECT_TRUE(serialized == FileBytes(path));
+  auto reader = ContainerReader::Map(path, ArtifactType::kRuleSet);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader->num_sections(), payloads.size());
+  for (size_t s = 0; s < payloads.size(); ++s) {
+    auto section = reader->Section(static_cast<uint32_t>(s + 1));
+    ASSERT_TRUE(section.ok());
+    EXPECT_TRUE(std::equal(section->begin(), section->end(),
+                           payloads[s].begin(), payloads[s].end()))
+        << "section " << s + 1;
+  }
+}
+
+TEST(ByteWriterTest, GrowsReservesAndReleasesWithoutLosingBytes) {
+  ByteWriter writer;
+  std::vector<std::byte> expected;
+  auto expect_put = [&expected](const void* data, size_t size) {
+    const auto* bytes = static_cast<const std::byte*>(data);
+    expected.insert(expected.end(), bytes, bytes + size);
+  };
+  // Many small puts: the buffer grows geometrically from empty.
+  for (uint32_t i = 0; i < 5000; ++i) {
+    const uint8_t small = static_cast<uint8_t>(i);
+    const uint32_t word = i * 2654435761u;
+    writer.PutU8(small);
+    writer.PutU32(word);
+    expect_put(&small, sizeof(small));
+    expect_put(&word, sizeof(word));
+  }
+  writer.PutArray<uint32_t>(std::span<const uint32_t>());  // empty array
+  const uint64_t zero = 0;
+  expect_put(&zero, sizeof(zero));
+  ASSERT_EQ(writer.bytes().size(), expected.size());
+  EXPECT_TRUE(std::equal(writer.bytes().begin(), writer.bytes().end(),
+                         expected.begin()));
+
+  // Reserve: the puts that fit do not move the buffer.
+  writer.Reserve(1000 * sizeof(double));
+  const std::byte* reserved = writer.bytes().data();
+  for (int i = 0; i < 1000; ++i) {
+    const double value = i * 0.25;
+    writer.PutF64(value);
+    expect_put(&value, sizeof(value));
+  }
+  EXPECT_EQ(writer.bytes().data(), reserved);
+  ASSERT_EQ(writer.bytes().size(), expected.size());
+  EXPECT_TRUE(std::equal(writer.bytes().begin(), writer.bytes().end(),
+                         expected.begin()));
+
+  // Release hands over exactly the written bytes and empties the writer,
+  // which stays usable.
+  const std::vector<std::byte> released = writer.Release();
+  EXPECT_TRUE(released == expected);
+  EXPECT_TRUE(writer.bytes().empty());
+  writer.PutString("dmt");
+  ASSERT_EQ(writer.bytes().size(), sizeof(uint32_t) + 3);
+  EXPECT_EQ(std::memcmp(writer.bytes().data() + sizeof(uint32_t), "dmt", 3),
             0);
 }
 

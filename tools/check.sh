@@ -148,6 +148,7 @@ UBSAN_TARGETS=(
   obs_metrics_test
   obs_histogram_test
   io_corruption_test
+  io_roundtrip_test
   serve_protocol_test
   serving_diff_test
   assoc_rules_test
@@ -174,6 +175,9 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ROOT/build-ubsan/tests/assoc/assoc_rules_test"
 "$ROOT/build-ubsan/tests/assoc/assoc_miners_test"
 "$ROOT/build-ubsan/tests/core/core_util_test"
+# The part-wise container write (header, table, payloads and padding as
+# separate parts) and ByteWriter's memcpy growth, Reserve and Release.
+"$ROOT/build-ubsan/tests/io/io_roundtrip_test"
 
 echo
 echo "== tier 3: bench smoke (tiny configs, --json must parse) =="
